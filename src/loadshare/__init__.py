@@ -16,11 +16,10 @@ from .errors import (
     InvalidParams,
     InvalidSampleSize,
     LoadShareError,
-    ModelMismatch,
     NoConvergence,
     NonPositiveLifetime,
 )
-from .estimate import FitResult, closed_form_mle, sufficient_stats
+from .estimate import FitResult, closed_form_mle
 from .model import (
     ModelKind,
     ModelSpec,
@@ -30,7 +29,7 @@ from .model import (
     log_likelihood,
     score,
     spacings_from_lifetimes,
-    stage_exposures,
+    sufficient_stats,
 )
 from .oracle import (
     CrosscheckResult,
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidModel",
     "InvalidParams",
     "DimensionMismatch",
-    "ModelMismatch",
     "NonPositiveLifetime",
     "DuplicateLifetime",
     "InvalidSampleSize",
@@ -67,11 +65,10 @@ __all__ = [
     "SpacingsMatrix",
     "SufficientStats",
     "spacings_from_lifetimes",
-    "stage_exposures",
     "log_likelihood",
     "score",
-    "FitResult",
     "sufficient_stats",
+    "FitResult",
     "closed_form_mle",
     "RngState",
     "McSummary",

@@ -51,8 +51,8 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _build_spec(kind: ModelKind, k: int, s: int | None) -> ModelSpec:
-    if kind is ModelKind.SSK:
+def _build_spec(model: str, k: int, s: int | None) -> ModelSpec:
+    if ModelKind(model) is ModelKind.SSK:
         if s is None:
             raise _UsageError("--model ssk requires --s")
         return ModelSpec.ssk(k, s)
@@ -85,13 +85,13 @@ def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
     ]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)} (or use --params)")
-    spec = _build_spec(ModelKind(args.model), args.k, args.s)
+    spec = _build_spec(args.model, args.k, args.s)
     return spec, Params(args.theta, _parse_lambdas(args.lam))
 
 
 def _read_dataset_file(path: str, assume_lifetimes: bool) -> SpacingsMatrix:
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             return read_dataset(handle, assume_lifetimes=assume_lifetimes)
     except OSError as exc:
         raise DataFileError(f"cannot read dataset: {exc}") from None
@@ -144,9 +144,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    kind = ModelKind(args.model)
     data = _read_dataset_file(args.data, args.lifetimes)
-    spec = _build_spec(kind, data.k, args.s)
+    spec = _build_spec(args.model, data.k, args.s)
     fit = closed_form_mle(spec, data)
     print(_fit_as_json(fit) if args.format == "json" else _fit_as_text(fit))
     return EXIT_OK
@@ -177,17 +176,18 @@ def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix) -> bool:
 
 
 def cmd_verify(args) -> int:
-    kind = ModelKind(args.model)
     if args.random:
         if args.s is not None:
             raise _UsageError("--s is not allowed with --random; each instance draws its own")
-        instances = random_instances(kind, args.instances, args.seed)
+        if args.instances < 1:
+            raise _UsageError(f"--instances must be at least 1, got {args.instances}")
+        instances = random_instances(args.model, args.instances, args.seed)
         checks = [
             _verify_one(i + 1, spec, data) for i, (spec, _, data) in enumerate(instances)
         ]
     else:
         data = _read_dataset_file(args.data, args.lifetimes)
-        spec = _build_spec(kind, data.k, args.s)
+        spec = _build_spec(args.model, data.k, args.s)
         checks = [_verify_one(1, spec, data)]
     passed = sum(checks)
     print(
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p, with_params: bool):
-        p.add_argument("--model", choices=[m.value for m in ModelKind])
+        p.add_argument("--model", choices=[m.value for m in ModelKind], required=not with_params)
         p.add_argument("--s", type=int, default=None, help="switch index (ssk only)")
         if with_params:
             p.add_argument("--k", type=int, default=None)
@@ -271,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     fit = sub.add_parser("fit", help="closed-form fit of a CSV dataset")
-    fit.add_argument("--model", choices=[m.value for m in ModelKind], required=True)
-    fit.add_argument("--s", type=int, default=None, help="switch index (ssk only)")
+    add_model_flags(fit, with_params=False)
     fit.add_argument("--data", required=True, help="CSV dataset path")
     fit.add_argument("--lifetimes", action="store_true",
                      help="treat a headerless file as raw lifetimes")
@@ -280,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     ver = sub.add_parser("verify", help="closed form vs iterative maximizer")
-    ver.add_argument("--model", choices=[m.value for m in ModelKind], required=True)
-    ver.add_argument("--s", type=int, default=None, help="switch index (ssk only)")
+    add_model_flags(ver, with_params=False)
     group = ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", default=None, help="CSV dataset path")
     group.add_argument("--random", action="store_true",

@@ -17,10 +17,6 @@ class DimensionMismatch(LoadShareError):
     """Shapes of model, parameters, and data disagree."""
 
 
-class ModelMismatch(LoadShareError):
-    """Operation applied to the wrong model kind."""
-
-
 class NonPositiveLifetime(LoadShareError):
     """A lifetime or spacing value is zero, negative, or not finite.
 
@@ -54,4 +50,4 @@ class NoConvergence(LoadShareError):
 
 
 class DataFileError(LoadShareError):
-    """Dataset or parameter file is malformed (header, ragged rows, non-numeric)."""
+    """Dataset or parameter file is malformed, or its stage totals overflow float64."""

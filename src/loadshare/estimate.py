@@ -1,8 +1,8 @@
 """Closed-form maximum likelihood estimation for both load-sharing models.
 
 The log-likelihood of either model is linear in the per-stage exposure
-totals S_1..S_k (see :func:`loadshare.model._stage_totals`), which makes the
-stationary point available in closed form:
+totals S_1..S_k held by :class:`loadshare.model.SufficientStats`, which
+makes the stationary point available in closed form:
 
     theta_hat      = n / S_1
     lambda_hat_j   = S_1 / S_{j+1}      for j = 1..k-1
@@ -18,30 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import DataFileError, InvalidParams
+from .model import ModelSpec, Params, SpacingsMatrix, SufficientStats, sufficient_stats
 
-from .model import (
-    ModelKind,
-    ModelSpec,
-    Params,
-    SpacingsMatrix,
-    SufficientStats,
-    _check_dims,
-    _stage_totals,
-    log_likelihood,
-)
-
-__all__ = ["FitResult", "sufficient_stats", "closed_form_mle"]
+__all__ = ["FitResult", "closed_form_mle"]
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Parameter estimates plus the log-likelihood they attain.
 
-    ``stats`` carries the per-stage totals the estimates were computed from,
-    so a fit is auditable without re-touching the raw data. ``diagnostics``
-    is free-form metadata (the iterative cross-check records its sweep and
-    evaluation counts there; the closed form leaves it empty).
+    ``stats`` is the :class:`SufficientStats` of the data under ``model``
+    that the fit was computed from, so a fit is auditable without
+    re-touching the raw data. ``diagnostics`` is free-form metadata (the
+    iterative cross-check records its sweep and evaluation counts there; the
+    closed form leaves it empty).
     """
 
     params_hat: Params
@@ -52,31 +43,22 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
-    """Per-stage column totals: spacing sums for kim-kvam, exposure sums for ssk."""
-    _check_dims(spec, t)
-    if spec.kind is ModelKind.KIM_KVAM:
-        sums = t.column_sums
-    else:
-        sums = _stage_totals(spec, t)
-    return SufficientStats(sums=tuple(sums), n=t.n)
-
-
 def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
     """Maximum likelihood estimates as exact ratios of exposure totals.
 
-    No iteration and no division-by-zero hazard: positivity of every spacing
-    guarantees positive totals.
+    No iteration and no division by zero: the stage totals are positive.
+    An estimate that leaves the float64 range is a data error.
     """
-    _check_dims(spec, t)
-    totals = _stage_totals(spec, t)
-    theta_hat = t.n / totals[0]
-    lambdas_hat = totals[0] / totals[1:]
-    params_hat = Params(theta_hat, tuple(lambdas_hat))
+    stats = sufficient_stats(spec, t)
+    s1 = stats.totals[0]
+    try:
+        params_hat = Params(stats.n / s1, tuple(s1 / s for s in stats.totals[1:]))
+    except InvalidParams as exc:
+        raise DataFileError(f"estimate outside the float64 range ({exc}); rescale the data") from None
     return FitResult(
         params_hat=params_hat,
-        loglik_at_mle=log_likelihood(spec, params_hat, t),
-        stats=sufficient_stats(spec, t),
+        loglik_at_mle=stats.log_likelihood(params_hat),
+        stats=stats,
         model=spec,
         n=t.n,
     )

@@ -19,8 +19,10 @@ Two hazard regimes are supported, selected by :class:`ModelSpec`:
 Both regimes share one algebraic core: each stage contributes an "exposure"
 (survivor-weighted time on test, or half the survivor-weighted squared
 spacing in the accelerating phase) and the log-likelihood is linear in the
-per-stage exposure totals. That structure is what makes the maximum
-likelihood estimates available in closed form, see :mod:`loadshare.estimate`.
+per-stage exposure totals S_1..S_k. The data enter only through n, those
+totals and, for ssk, the sum of log-spacings past the switch. That summary,
+:class:`SufficientStats`, is the one input of the likelihood, the score and
+the closed form (see :mod:`loadshare.estimate`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DataFileError,
     DimensionMismatch,
     DuplicateLifetime,
     InvalidModel,
     InvalidParams,
-    ModelMismatch,
     NonPositiveLifetime,
 )
 
@@ -48,8 +50,8 @@ __all__ = [
     "Params",
     "SpacingsMatrix",
     "SufficientStats",
+    "sufficient_stats",
     "spacings_from_lifetimes",
-    "stage_exposures",
     "log_likelihood",
     "score",
 ]
@@ -147,18 +149,11 @@ class SpacingsMatrix:
 
     Column j holds the spacing between the (j-1)-th and j-th ordered failures
     (the 0-th failure time is 0). Every entry must be finite and strictly
-    positive. The instance is immutable; column aggregates consumed by the
-    likelihood are computed once at construction.
+    positive. The instance is immutable; what the likelihood needs of it is
+    summarized by :func:`sufficient_stats`.
     """
 
-    __slots__ = (
-        "_data",
-        "_column_sums",
-        "_column_square_sums",
-        "_column_log_sums",
-        "_exposure_totals_constant",
-        "_exposure_totals_accelerating",
-    )
+    __slots__ = ("_data",)
 
     def __init__(self, data):
         arr = np.array(data, dtype=float)
@@ -179,13 +174,6 @@ class SpacingsMatrix:
             )
         arr.flags.writeable = False
         self._data = arr
-        # Aggregates sufficient for every likelihood/score/estimator call.
-        weights = np.arange(arr.shape[1], 0, -1, dtype=float)  # survivors per stage
-        self._column_sums = arr.sum(axis=0)
-        self._column_square_sums = (arr * arr).sum(axis=0)
-        self._column_log_sums = np.log(arr).sum(axis=0)
-        self._exposure_totals_constant = weights * self._column_sums
-        self._exposure_totals_accelerating = 0.5 * weights * self._column_square_sums
 
     @property
     def data(self) -> np.ndarray:
@@ -199,31 +187,8 @@ class SpacingsMatrix:
     def k(self) -> int:
         return self._data.shape[1]
 
-    @property
-    def column_sums(self) -> np.ndarray:
-        """Per-stage spacing totals t_sum[j] = sum_i t_ij."""
-        return self._column_sums
-
     def __repr__(self):
         return f"SpacingsMatrix(n={self.n}, k={self.k})"
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Per-stage column totals through which the data enter the closed forms.
-
-    For ``kim-kvam`` these are the plain spacing totals; for ``ssk`` they are
-    the exposure totals (survivor-weighted, squared past the switch).
-    """
-
-    sums: tuple[float, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sums", tuple(float(v) for v in self.sums))
-        for j, v in enumerate(self.sums, start=1):
-            if not (math.isfinite(v) and v > 0):
-                raise InvalidParams(f"stage {j} sufficient statistic must be > 0, got {v}")
 
 
 @lru_cache(maxsize=None)
@@ -232,29 +197,88 @@ def _log_factorial(k: int) -> float:
     return sum(math.log(i) for i in range(2, k + 1))
 
 
-def _check_dims(spec: ModelSpec, t: SpacingsMatrix, params: Params | None = None) -> None:
-    if t.k != spec.k:
-        raise DimensionMismatch(
-            f"data has {t.k} columns but the model expects k={spec.k}"
-        )
-    if params is not None and len(params.lambdas) != spec.k - 1:
-        raise DimensionMismatch(
-            f"model with k={spec.k} needs {spec.k - 1} multipliers, "
-            f"got {len(params.lambdas)}"
-        )
+def _survivors(k: int) -> np.ndarray:
+    """Components at risk during each stage: k-j+1 for j = 1..k."""
+    return np.arange(k, 0, -1, dtype=float)
 
 
-def _stage_totals(spec: ModelSpec, t: SpacingsMatrix) -> np.ndarray:
-    """Per-stage exposure totals S_j; the likelihood exponent is theta * S . lam.
+def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
+    """Per-stage hazard multipliers (1, lambda_1, ..., lambda_{k-1})."""
+    if len(params.lambdas) != spec.k - 1:
+        raise DimensionMismatch(
+            f"model with k={spec.k} needs {spec.k - 1} multipliers, got {len(params.lambdas)}"
+        )
+    return np.array((1.0, *params.lambdas))
+
+
+@dataclass(frozen=True)
+class SufficientStats:
+    """Everything the likelihood of one dataset under one model depends on.
+
+    ``totals`` are the per-stage exposure totals S_1..S_k, so that the
+    likelihood exponent is ``-theta * S . (1, lambda_1, ...)``; ``log_term``
+    is the sum of log-spacings past the switch (ssk only, else 0). Build it
+    with :func:`sufficient_stats`.
+    """
+
+    spec: ModelSpec
+    n: int
+    totals: tuple[float, ...]
+    log_term: float
+
+    def log_likelihood(self, params: Params) -> float:
+        """Exact log-likelihood; see :func:`log_likelihood`."""
+        lam_full = _multipliers(self.spec, params)
+        n, k = self.n, self.spec.k
+        # fsum keeps the accumulation error at one rounding of the total, which
+        # matters to value-only consumers resolving tiny likelihood differences.
+        return math.fsum([
+            n * _log_factorial(k),
+            n * k * math.log(params.theta),
+            n * math.fsum(math.log(l) for l in params.lambdas),
+            -params.theta * float(np.asarray(self.totals) @ lam_full),
+            self.log_term,
+        ])
+
+    def score(self, params: Params) -> np.ndarray:
+        """Log-likelihood gradient; see :func:`score`."""
+        lam_full = _multipliers(self.spec, params)
+        totals = np.asarray(self.totals)
+        grad = np.empty(self.spec.k)
+        grad[0] = self.n * self.spec.k / params.theta - float(totals @ lam_full)
+        grad[1:] = self.n / lam_full[1:] - params.theta * totals[1:]
+        return grad
+
+
+def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
+    """Stage totals of the spacings under ``spec``.
 
     kim-kvam: S_j = (k-j+1) * sum_i t_ij for every stage.
-    ssk:      same through stage s, then S_j = (k-j+1)/2 * sum_i t_ij^2.
+    ssk:      same through stage s, then S_j = (k-j+1)/2 * sum_i t_ij^2,
+              plus the log term sum_i sum_{j>s} log t_ij.
+
+    A total that overflows or underflows float64 is a data error naming its
+    column.
     """
-    if spec.kind is ModelKind.KIM_KVAM:
-        return t._exposure_totals_constant
-    return np.concatenate(
-        (t._exposure_totals_constant[: spec.s], t._exposure_totals_accelerating[spec.s :])
-    )
+    if t.k != spec.k:
+        raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
+    d, w = t.data, _survivors(spec.k)
+    log_term = 0.0
+    # Reduce whole columns, then slice: the summation order fixes the last bits.
+    with np.errstate(over="ignore", under="ignore"):
+        totals = w * d.sum(axis=0)
+        if spec.kind is ModelKind.SSK:
+            accelerating = 0.5 * w * (d * d).sum(axis=0)
+            totals = np.concatenate((totals[: spec.s], accelerating[spec.s :]))
+            log_term = float(np.log(d).sum(axis=0)[spec.s :].sum())
+    totals = tuple(totals.tolist())
+    for j, v in enumerate(totals, start=1):
+        if not (math.isfinite(v) and v > 0):
+            raise DataFileError(
+                f"column {j}: the stage total {v:g} is outside the float64 range; "
+                "rescale the data"
+            )
+    return SufficientStats(spec, t.n, totals, log_term)
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:
@@ -294,24 +318,6 @@ def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:
     return SpacingsMatrix(spacings)
 
 
-def stage_exposures(spec: ModelSpec, t: SpacingsMatrix) -> np.ndarray:
-    """Elementwise exposures y_ij for the ssk model.
-
-    y_ij = (k-j+1) * t_ij through stage s and (k-j+1)/2 * t_ij^2 afterwards;
-    multiplying by lambda_{j-1} * theta gives the hazard integrated over
-    stage j across all survivors. In both phases y_ij is exponentially
-    distributed with rate lambda_{j-1} * theta, which is what collapses the
-    two estimating regimes into one.
-    """
-    if spec.kind is not ModelKind.SSK:
-        raise ModelMismatch("stage exposures are defined for the ssk model only")
-    _check_dims(spec, t)
-    weights = np.arange(spec.k, 0, -1, dtype=float)
-    constant = weights * t.data
-    accelerating = 0.5 * weights * t.data**2
-    return np.concatenate((constant[:, : spec.s], accelerating[:, spec.s :]), axis=1)
-
-
 def log_likelihood(spec: ModelSpec, params: Params, t: SpacingsMatrix) -> float:
     """Exact log-likelihood of the spacings under the given model.
 
@@ -319,23 +325,7 @@ def log_likelihood(spec: ModelSpec, params: Params, t: SpacingsMatrix) -> float:
     sum-of-log-spacings term from the accelerating phase, so the value is a
     true log-density, directly comparable across implementations.
     """
-    _check_dims(spec, t, params)
-    n, k = t.n, t.k
-    totals = _stage_totals(spec, t)
-    lam_full = np.empty(k)
-    lam_full[0] = 1.0
-    lam_full[1:] = params.lambdas
-    # fsum keeps the accumulation error at one rounding of the total, which
-    # matters to value-only consumers resolving tiny likelihood differences.
-    terms = [
-        n * _log_factorial(k),
-        n * k * math.log(params.theta),
-        n * math.fsum(math.log(l) for l in params.lambdas),
-        -params.theta * float(totals @ lam_full),
-    ]
-    if spec.kind is ModelKind.SSK:
-        terms.append(float(t._column_log_sums[spec.s :].sum()))
-    return math.fsum(terms)
+    return sufficient_stats(spec, t).log_likelihood(params)
 
 
 def score(spec: ModelSpec, params: Params, t: SpacingsMatrix) -> np.ndarray:
@@ -344,13 +334,4 @@ def score(spec: ModelSpec, params: Params, t: SpacingsMatrix) -> np.ndarray:
     Component 0 is d logL / d theta; component j is d logL / d lambda_j.
     Zero at the maximum likelihood estimate.
     """
-    _check_dims(spec, t, params)
-    n, k = t.n, t.k
-    totals = _stage_totals(spec, t)
-    lam_full = np.empty(k)
-    lam_full[0] = 1.0
-    lam_full[1:] = params.lambdas
-    grad = np.empty(k)
-    grad[0] = n * k / params.theta - float(totals @ lam_full)
-    grad[1:] = n / lam_full[1:] - params.theta * totals[1:]
-    return grad
+    return sufficient_stats(spec, t).score(params)

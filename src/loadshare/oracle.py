@@ -5,9 +5,9 @@ way one would without the closed forms: cyclic coordinate ascent driven by
 nothing but log-likelihood values. Each coordinate is searched in log space
 (so positivity is structural, never clamped) by bracketing a maximum with
 geometric expansion and refining it with derivative-free golden-section
-search. The search deliberately shares no code path with the analytic score
-or the closed-form ratios; agreement between the two routes is therefore
-meaningful evidence, not circularity.
+search on likelihood values of the data's sufficient statistics. It shares
+no code path with the analytic score or the closed-form ratios, so agreement
+between the two routes is meaningful evidence, not circularity.
 
 A proposed coordinate move is accepted only if it strictly increases the
 log-likelihood. That makes the ascent monotone by construction and lets it
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NoConvergence
-from .estimate import FitResult, closed_form_mle, sufficient_stats
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, log_likelihood
+from .errors import InvalidParams, NoConvergence
+from .estimate import FitResult, closed_form_mle
+from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, log_likelihood, sufficient_stats
 from .simulate import RngState, sample_dataset
 
 __all__ = [
@@ -138,8 +138,7 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix, cfg: OracleConfig | None = N
     """
     if cfg is None:
         cfg = OracleConfig()
-    if t.k != spec.k:
-        raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
+    stats = sufficient_stats(spec, t)
     k = spec.k
     evals = 0
 
@@ -149,7 +148,7 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix, cfg: OracleConfig | None = N
         values = np.exp(u)
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             return -math.inf
-        return log_likelihood(spec, Params(values[0], tuple(values[1:])), t)
+        return stats.log_likelihood(Params(values[0], tuple(values[1:])))
 
     u = np.zeros(k)  # log space; exp(0) = 1 everywhere
     f_cur = objective(u)
@@ -191,7 +190,7 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix, cfg: OracleConfig | None = N
     return FitResult(
         params_hat=params_hat,
         loglik_at_mle=f_cur,
-        stats=sufficient_stats(spec, t),
+        stats=stats,
         model=spec,
         n=t.n,
         diagnostics={"sweeps": sweeps_used, "loglik_evals": evals},

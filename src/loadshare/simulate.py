@@ -17,15 +17,16 @@ count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSampleSize
+from .errors import InvalidParams, InvalidSampleSize
 from .estimate import closed_form_mle
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix
+from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, _multipliers, _survivors
 
 __all__ = [
     "RngState",
@@ -95,16 +96,15 @@ def rayleigh_spacing(u, rate):
 
 
 def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
-    if len(params.lambdas) != spec.k - 1:
-        raise DimensionMismatch(
-            f"model with k={spec.k} needs {spec.k - 1} multipliers, "
-            f"got {len(params.lambdas)}"
-        )
-    lam_full = np.empty(spec.k)
-    lam_full[0] = 1.0
-    lam_full[1:] = params.lambdas
-    weights = np.arange(spec.k, 0, -1, dtype=float)
-    return weights * lam_full * params.theta
+    with np.errstate(over="ignore", under="ignore"):
+        rates = _survivors(spec.k) * _multipliers(spec, params) * params.theta
+    for j, rate in enumerate(rates.tolist(), start=1):
+        if not (math.isfinite(rate) and rate > 0):
+            raise InvalidParams(
+                f"theta={params.theta:g} and lambda={','.join(f'{l:g}' for l in params.lambdas)} "
+                f"give stage {j} the rate {rate:g}; every stage rate must be finite and > 0"
+            )
+    return rates
 
 
 def _spacings_from_uniforms(spec: ModelSpec, rates: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -177,7 +177,7 @@ def mc_study(
         )
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise InvalidSampleSize(f"reps must be a positive integer, got {reps!r}")
-    _stage_rates(spec, truth)  # validate dimensions up front
+    _stage_rates(spec, truth)  # validate dimensions and rates up front
     estimates = np.empty((reps, spec.k))
 
     def run_block(block: range) -> None:

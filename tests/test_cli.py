@@ -148,6 +148,34 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--model", "kim-kvam", "--data", str(data))
         assert code == 1 and "row 3" in err
 
+    @pytest.mark.parametrize(
+        "model,text,cited",
+        [
+            (["ssk", "--s", "2"], "t1,t2,t3\n1,1,1e200\n1,1,2e200\n", "column 3"),
+            (["ssk", "--s", "2"], "t1,t2,t3\n1,1,1e-200\n1,1,2e-200\n", "column 3"),
+            (["kim-kvam"], "t1,t2\n1e308,1\n1e308,1\n", "column 1"),
+            # squares are subnormal but positive; lambda_2 = S_1 / S_3 overflows
+            (["ssk", "--s", "2"], "t1,t2,t3\n1,1,1e-160\n1,1,1e-160\n", "lambda_2"),
+        ],
+        ids=["ssk-overflow", "ssk-underflow", "kim-kvam-overflow", "ratio-overflow"],
+    )
+    def test_out_of_range_totals_exit_1(self, tmp_path, capsys, model, text, cited):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--model", *model, "--data", str(data))
+        assert code == 1 and out == ""
+        assert cited in err and "Warning" not in err
+
+    def test_utf8_bom_is_ignored(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"t1,t2,t3\r\n1,2,3\r\n3,2,1\r\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        args = ["fit", "--model", "kim-kvam", "--format", "json", "--data"]
+        code_plain, out_plain, _ = run_cli(capsys, *args, str(plain))
+        code_bom, out_bom, _ = run_cli(capsys, *args, str(bom))
+        assert code_plain == code_bom == 0 and out_bom == out_plain
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--model", "kim-kvam", "--data", "/no/such.csv")
         assert code == 1
@@ -211,6 +239,13 @@ class TestVerify:
             capsys, "verify", "--model", "ssk", "--s", "2", "--random", "--instances", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_random_request_exits_2(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "verify", "--model", "kim-kvam", "--random", "--instances", count
+        )
+        assert code == 2 and "--instances" in err and "verified" not in out
 
     def test_data_and_random_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(
@@ -303,6 +338,21 @@ class TestUsageErrors:
     def test_missing_required_flags(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--model", "kim-kvam", "--n", "2")
         assert code == 2 and "missing required flags" in err
+
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_model_required_for_data_commands(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--data", "x.csv")
+        assert code == 2 and "--model" in err
+
+    @pytest.mark.parametrize("command,extra", [("simulate", []), ("mc-study", ["--reps", "5"])])
+    def test_degenerate_stage_rates_exit_2(self, capsys, command, extra):
+        code, out, err = run_cli(
+            capsys,
+            command, "--model", "kim-kvam", "--k", "2",
+            "--theta", "1e-300", "--lambda", "1e-300", "--n", "3", *extra,
+        )
+        assert code == 2 and out == ""
+        assert "theta=1e-300" in err and "lambda=1e-300" in err and "Warning" not in err
 
     def test_bad_model_choice(self, capsys):
         assert main(["fit", "--model", "weibull", "--data", "x.csv"]) == 2

@@ -29,17 +29,18 @@ def simulated(seed, kind=ModelKind.KIM_KVAM, k=4, n=6, s=2):
 
 class TestSufficientStats:
     def test_kim_kvam_column_sums(self):
+        # S_j = (k-j+1) * column sum, with column sums (4, 4, 4)
         stats = sufficient_stats(ModelSpec.kim_kvam(3), SpacingsMatrix([[1, 2, 3], [3, 2, 1]]))
-        assert stats.sums == (4.0, 4.0, 4.0) and stats.n == 2
+        assert stats.totals == (12.0, 8.0, 4.0) and stats.n == 2
 
     def test_ssk_unit_row(self):
         stats = sufficient_stats(ModelSpec.ssk(3, 2), SpacingsMatrix([[1.0, 1.0, 1.0]]))
-        assert stats.sums == (3.0, 2.0, 0.5)
+        assert stats.totals == (3.0, 2.0, 0.5)
 
     def test_ssk_two_rows(self):
         # exposure rows (3,2,0.5) and (6,2,2) summed columnwise
         stats = sufficient_stats(ModelSpec.ssk(3, 2), SpacingsMatrix([[1, 1, 1], [2, 1, 2]]))
-        assert stats.sums == (9.0, 4.0, 2.5)
+        assert stats.totals == (9.0, 4.0, 2.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -115,8 +116,8 @@ class TestScaleLaw:
         scaled = closed_form_mle(spec, SpacingsMatrix(data.data * c))
         assert scaled.params_hat.theta == pytest.approx(base.params_hat.theta / c, rel=1e-12)
         assert scaled.params_hat.lambdas == pytest.approx(base.params_hat.lambdas, rel=1e-12)
-        stats_scaled = np.array(sufficient_stats(spec, SpacingsMatrix(data.data * c)).sums)
-        stats_base = np.array(sufficient_stats(spec, data).sums)
+        stats_scaled = np.array(sufficient_stats(spec, SpacingsMatrix(data.data * c)).totals)
+        stats_base = np.array(sufficient_stats(spec, data).totals)
         assert np.allclose(stats_scaled, c * stats_base, rtol=1e-12)
 
 

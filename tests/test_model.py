@@ -6,24 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshare import (
+    DataFileError,
     DimensionMismatch,
     DuplicateLifetime,
     InvalidModel,
     InvalidParams,
     ModelKind,
-    ModelMismatch,
     ModelSpec,
     NonPositiveLifetime,
     Params,
     RngState,
     SpacingsMatrix,
-    SufficientStats,
     closed_form_mle,
     log_likelihood,
     sample_dataset,
     score,
     spacings_from_lifetimes,
-    stage_exposures,
+    sufficient_stats,
 )
 
 
@@ -92,7 +91,7 @@ class TestSpacingsMatrix:
     def test_shape_and_aggregates(self):
         m = SpacingsMatrix([[1, 2, 3], [3, 2, 1]])
         assert (m.n, m.k) == (2, 3)
-        assert np.array_equal(m.column_sums, [4.0, 4.0, 4.0])
+        assert np.array_equal(m.data.sum(axis=0), [4.0, 4.0, 4.0])
 
     def test_data_is_immutable(self):
         m = SpacingsMatrix([[1.0, 2.0]])
@@ -112,8 +111,23 @@ class TestSpacingsMatrix:
 
 class TestSufficientStats:
     def test_positivity_enforced(self):
-        with pytest.raises(InvalidParams):
-            SufficientStats(sums=(1.0, 0.0), n=1)
+        # 1e-200 squared underflows: the stage-3 total would be 0
+        with pytest.raises(DataFileError, match="column 3"):
+            sufficient_stats(ModelSpec.ssk(3, 2), SpacingsMatrix([[1.0, 1.0, 1e-200]]))
+
+    @pytest.mark.parametrize(
+        "spec,row,totals",
+        [
+            # (k-j+1) t through stage s, then (k-j+1) t^2 / 2
+            (ModelSpec.ssk(3, 2), [1.0, 1.0, 1.0], (3.0, 2.0, 0.5)),
+            (ModelSpec.ssk(3, 2), [2.0, 1.0, 2.0], (6.0, 2.0, 2.0)),
+            (ModelSpec.ssk(4, 3), [1.0] * 4, (4.0, 3.0, 2.0, 0.5)),
+        ],
+        ids=["ssk-k3-unit", "ssk-k3-mixed", "ssk-k4-unit"],
+    )
+    def test_stage_totals(self, spec, row, totals):
+        stats = sufficient_stats(spec, SpacingsMatrix([row]))
+        assert stats.totals == totals and stats.n == 1
 
 
 class TestSpacingsFromLifetimes:
@@ -152,28 +166,6 @@ class TestSpacingsFromLifetimes:
         assert np.all(m.data > 0)
         recovered = np.cumsum(m.data, axis=1)
         assert np.allclose(recovered, np.sort(np.array(rows), axis=1), rtol=1e-12)
-
-
-class TestStageExposures:
-    def test_unit_spacings_k3(self):
-        spec = ModelSpec.ssk(3, 2)
-        y = stage_exposures(spec, SpacingsMatrix([[1.0, 1.0, 1.0]]))
-        assert np.array_equal(y, [[3.0, 2.0, 0.5]])
-
-    def test_hand_values_mixed_row(self):
-        # (k-j+1) t for j<=2, then (k-j+1) t^2 / 2: 3*2, 2*1, 0.5*1*4
-        spec = ModelSpec.ssk(3, 2)
-        y = stage_exposures(spec, SpacingsMatrix([[2.0, 1.0, 2.0]]))
-        assert np.allclose(y, [[6.0, 2.0, 2.0]], rtol=1e-15)
-
-    def test_unit_spacings_k4(self):
-        spec = ModelSpec.ssk(4, 3)
-        y = stage_exposures(spec, SpacingsMatrix([[1.0] * 4]))
-        assert np.array_equal(y, [[4.0, 3.0, 2.0, 0.5]])
-
-    def test_wrong_model_kind(self):
-        with pytest.raises(ModelMismatch):
-            stage_exposures(ModelSpec.kim_kvam(3), SpacingsMatrix([[1.0, 1.0, 1.0]]))
 
 
 class TestLogLikelihood:
