@@ -43,7 +43,8 @@ def _json_fragment(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        # JSON has no NaN or Infinity; null is the portable stand-in.
+        return format_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

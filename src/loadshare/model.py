@@ -250,6 +250,21 @@ class SufficientStats:
         return grad
 
 
+def _stage_totals(spec: ModelSpec, d: np.ndarray) -> np.ndarray:
+    """Stage totals S_1..S_k of spacings ``d``, reducing axis -2 of an (..., n, k) array.
+
+    Overflow and underflow are left for the caller to detect in the result.
+    """
+    w = _survivors(spec.k)
+    # Reduce whole columns, then slice: the summation order fixes the last bits.
+    with np.errstate(over="ignore", under="ignore"):
+        totals = w * d.sum(axis=-2)
+        if spec.kind is ModelKind.SSK:
+            accelerating = 0.5 * w * (d * d).sum(axis=-2)
+            totals = np.concatenate((totals[..., : spec.s], accelerating[..., spec.s :]), axis=-1)
+    return totals
+
+
 def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
     """Stage totals of the spacings under ``spec``.
 
@@ -262,16 +277,10 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
     """
     if t.k != spec.k:
         raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
-    d, w = t.data, _survivors(spec.k)
+    totals = tuple(_stage_totals(spec, t.data).tolist())
     log_term = 0.0
-    # Reduce whole columns, then slice: the summation order fixes the last bits.
-    with np.errstate(over="ignore", under="ignore"):
-        totals = w * d.sum(axis=0)
-        if spec.kind is ModelKind.SSK:
-            accelerating = 0.5 * w * (d * d).sum(axis=0)
-            totals = np.concatenate((totals[: spec.s], accelerating[spec.s :]))
-            log_term = float(np.log(d).sum(axis=0)[spec.s :].sum())
-    totals = tuple(totals.tolist())
+    if spec.kind is ModelKind.SSK:
+        log_term = float(np.log(t.data).sum(axis=0)[spec.s :].sum())
     for j, v in enumerate(totals, start=1):
         if not (math.isfinite(v) and v > 0):
             raise DataFileError(

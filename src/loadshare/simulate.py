@@ -9,24 +9,32 @@ per-component hazard ``lambda_{j-1} * theta * t`` restarts its clock at each
 failure, so the stage spacing is Rayleigh and is drawn by inverting its CDF.
 
 All randomness flows through :class:`RngState` (PCG64), which yields the
-same stream for the same seed on every platform. Replications in
-:func:`mc_study` use child states derived from the master seed by mixing in
-the replicate index, so results do not depend on execution order or worker
-count.
+same stream for the same seed on every platform. :func:`mc_study` draws every
+replication from one stream derived once from the master seed, in fixed-size
+blocks of about ``_BLOCK_UNIFORMS`` uniforms: each block is sampled, reduced
+to stage totals and turned into closed-form estimates by whole-array numpy
+operations. Replication r takes the stream's r-th run of n*k draws, unless
+an exact zero (probability 2**-53 per draw) was redrawn before it; the
+results depend on the seed alone.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, InvalidSampleSize
-from .estimate import closed_form_mle
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, _multipliers, _survivors
+from .model import (
+    ModelKind,
+    ModelSpec,
+    Params,
+    SpacingsMatrix,
+    _multipliers,
+    _stage_totals,
+    _survivors,
+)
 
 __all__ = [
     "RngState",
@@ -95,15 +103,25 @@ def rayleigh_spacing(u, rate):
     return np.sqrt(2.0 * (-np.log(u)) / rate)
 
 
+def _out_of_range(params: Params, what: str) -> InvalidParams:
+    lambdas = ",".join(f"{l:g}" for l in params.lambdas)
+    return InvalidParams(
+        f"theta={params.theta:g} and lambda={lambdas} give {what} outside the float64 range"
+    )
+
+
+def _first_bad_column(values: np.ndarray) -> int | None:
+    """1-based last-axis index of the first entry that is not finite and > 0, else None."""
+    bad = ~(np.isfinite(values) & (values > 0))
+    return int(np.argwhere(bad)[0][-1]) + 1 if bad.any() else None
+
+
 def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         rates = _survivors(spec.k) * _multipliers(spec, params) * params.theta
-    for j, rate in enumerate(rates.tolist(), start=1):
-        if not (math.isfinite(rate) and rate > 0):
-            raise InvalidParams(
-                f"theta={params.theta:g} and lambda={','.join(f'{l:g}' for l in params.lambdas)} "
-                f"give stage {j} the rate {rate:g}; every stage rate must be finite and > 0"
-            )
+    stage = _first_bad_column(rates)
+    if stage is not None:
+        raise _out_of_range(params, f"stage {stage} the rate {rates[stage - 1]:g}")
     return rates
 
 
@@ -115,19 +133,32 @@ def _spacings_from_uniforms(spec: ModelSpec, rates: np.ndarray, u: np.ndarray) -
     return np.concatenate((constant, accelerating), axis=-1)
 
 
+def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple) -> np.ndarray:
+    """Spacings of shape ``shape + (k,)``, each checked to be finite and > 0.
+
+    A stage rate can be valid yet so small (or large) that its spacing
+    overflows (or underflows to 0); that is a fault of the parameters.
+    """
+    rates = _stage_rates(spec, params)
+    u = rng.uniform_open((*shape, spec.k))
+    with np.errstate(all="ignore"):
+        t = _spacings_from_uniforms(spec, rates, u)
+    stage = _first_bad_column(t)
+    if stage is not None:
+        raise _out_of_range(params, f"stage {stage} a sampled spacing")
+    return t
+
+
 def sample_system(spec: ModelSpec, params: Params, rng: RngState) -> np.ndarray:
     """One system's k stage spacings, drawn stage by stage from ``rng``."""
-    rates = _stage_rates(spec, params)
-    return _spacings_from_uniforms(spec, rates, rng.uniform_open(spec.k))
+    return _draw_spacings(spec, params, rng, ())
 
 
 def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> SpacingsMatrix:
     """n independent systems; identical to n successive :func:`sample_system` rows."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidSampleSize(f"sample size n must be a positive integer, got {n!r}")
-    rates = _stage_rates(spec, params)
-    u = rng.uniform_open((n, spec.k))
-    return SpacingsMatrix(_spacings_from_uniforms(spec, rates, u))
+    return SpacingsMatrix(_draw_spacings(spec, params, rng, (n,)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +188,35 @@ class McSummary:
             raise AssertionError("mse < bias^2 beyond rounding slack; summary is inconsistent")
 
 
+# Uniforms drawn per block of replications: enough to amortise numpy's
+# per-call overhead, few enough that a block's temporaries stay a few hundred
+# KB (blocks of 2**16 raised the peak memory of a 20k-replication study by 5 %).
+_BLOCK_UNIFORMS = 2**14
+
+
+def _block_estimates(
+    spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState
+) -> np.ndarray:
+    """(reps, k) closed-form estimates of ``reps`` replications drawn from ``stream``.
+
+    The ratios of :func:`loadshare.estimate.closed_form_mle`, one row per
+    replication: theta = n / S_1 and lambda_j = S_1 / S_{j+1}.
+    """
+    totals = _stage_totals(spec, _draw_spacings(spec, truth, stream, (reps, n)))
+    stage = _first_bad_column(totals)
+    if stage is not None:
+        raise _out_of_range(truth, f"stage {stage} an exposure total")
+    estimates = np.empty_like(totals)
+    with np.errstate(all="ignore"):
+        estimates[:, 0] = n / totals[:, 0]
+        estimates[:, 1:] = totals[:, :1] / totals[:, 1:]
+    position = _first_bad_column(estimates)
+    if position is not None:
+        name = "theta" if position == 1 else f"lambda_{position - 1}"
+        raise _out_of_range(truth, f"the estimate of {name} a value")
+    return estimates
+
+
 def mc_study(
     spec: ModelSpec,
     truth: Params,
@@ -168,8 +228,16 @@ def mc_study(
     """Simulate ``reps`` datasets of size ``n``, fit each, summarize recovery.
 
     Requires n >= 2: the closed-form rate estimate has no finite mean at
-    n = 1, so a recovery study there is meaningless. Results are bit-identical
-    for a fixed master seed regardless of ``workers``.
+    n = 1, so a recovery study there is meaningless. Replications are drawn
+    from the single stream ``rng.child(0)`` (``rng`` itself is not advanced)
+    and fitted in blocks of about ``_BLOCK_UNIFORMS`` uniforms, so the
+    results depend only on the master seed. ``workers`` is accepted for
+    compatibility and starts no threads: results are bit-identical for every
+    value.
+
+    Parameters so extreme that a sampled spacing, a stage total, an
+    estimate or a summary statistic leaves the float64 range raise
+    :class:`InvalidParams` naming theta and lambda.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidSampleSize(
@@ -177,38 +245,34 @@ def mc_study(
         )
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise InvalidSampleSize(f"reps must be a positive integer, got {reps!r}")
-    _stage_rates(spec, truth)  # validate dimensions and rates up front
-    estimates = np.empty((reps, spec.k))
-
-    def run_block(block: range) -> None:
-        for r in block:
-            data = sample_dataset(spec, truth, n, rng.child(r))
-            fit = closed_form_mle(spec, data)
-            estimates[r, 0] = fit.params_hat.theta
-            estimates[r, 1:] = fit.params_hat.lambdas
-
-    if workers <= 1:
-        run_block(range(reps))
-    else:
-        chunk = -(-reps // workers)
-        blocks = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, blocks))
+    stream = rng.child(0)
+    per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
+    estimates = np.concatenate([
+        _block_estimates(spec, truth, n, min(per_block, reps - lo), stream)
+        for lo in range(0, reps, per_block)
+    ])
 
     truth_vec = truth.as_array()
-    mean = estimates.mean(axis=0)
-    errors = estimates - truth_vec
-    mse = (errors**2).mean(axis=0)
-    if reps > 1:
-        se_mean = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
-        se_mse = (errors**2).std(axis=0, ddof=1) / np.sqrt(reps)
-    else:
-        se_mean = np.full(spec.k, np.nan)
-        se_mse = np.full(spec.k, np.nan)
+    with np.errstate(all="ignore"):
+        mean = estimates.mean(axis=0)
+        errors = estimates - truth_vec
+        squared = errors**2
+        mse = squared.mean(axis=0)
+        bias = mean - truth_vec
+        if reps > 1:
+            se_mean = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
+            se_mse = squared.std(axis=0, ddof=1) / np.sqrt(reps)
+            checked = (mean, mse, bias**2, se_mean, se_mse)
+        else:
+            se_mean = np.full(spec.k, np.nan)
+            se_mse = np.full(spec.k, np.nan)
+            checked = (mean, mse, bias**2)
+    if not np.isfinite(np.concatenate(checked)).all():
+        raise _out_of_range(truth, "a Monte Carlo summary statistic")
     return McSummary(
         reps=reps,
         mean_estimates=mean,
-        bias=mean - truth_vec,
+        bias=bias,
         mse=mse,
         truth=truth,
         se_mean=se_mean,

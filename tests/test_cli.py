@@ -318,6 +318,16 @@ class TestMcStudy:
         ref = 10 / 9
         assert payload["reference_mean"] == pytest.approx([ref, ref, ref], rel=1e-12)
 
+    def test_single_replication_json_is_valid(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "mc-study", "--model", "kim-kvam", "--k", "2", "--theta", "1",
+            "--lambda", "1", "--n", "3", "--reps", "1", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reps"] == 1 and payload["se_mean"] == [None, None]
+
     def test_params_file(self, tmp_path, capsys):
         pfile = tmp_path / "p.json"
         pfile.write_text('{"theta": 1.0, "lambda": [1.0], "model": "kim-kvam", "k": 2}')
@@ -353,6 +363,28 @@ class TestUsageErrors:
         )
         assert code == 2 and out == ""
         assert "theta=1e-300" in err and "lambda=1e-300" in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "command,theta,lam,reps",
+        [
+            ("simulate", "1e-310", "1", None),  # valid rates, but the spacings overflow
+            ("simulate", "1e308", "1", None),  # the stage-1 rate overflows
+            ("mc-study", "1e-310", "1", "5"),
+            ("mc-study", "5e307", "1", "200"),  # some theta estimate overflows
+            ("mc-study", "1e300", "1e8", "2"),  # the squared errors overflow
+        ],
+        ids=["simulate-low", "simulate-high", "mc-study-low", "mc-study-high", "mc-study-summary"],
+    )
+    def test_extreme_parameters_exit_2(self, capsys, command, theta, lam, reps):
+        extra = [] if reps is None else ["--reps", reps]
+        code, out, err = run_cli(
+            capsys,
+            command, "--model", "kim-kvam", "--k", "2",
+            "--theta", theta, "--lambda", lam, "--n", "3", *extra,
+        )
+        assert code == 2 and out == ""
+        assert f"theta={float(theta):g}" in err and f"lambda={float(lam):g}" in err
+        assert "Warning" not in err
 
     def test_bad_model_choice(self, capsys):
         assert main(["fit", "--model", "weibull", "--data", "x.csv"]) == 2

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from loadshare import (
+    InvalidParams,
     InvalidSampleSize,
     ModelSpec,
     Params,
     RngState,
+    closed_form_mle,
     exponential_spacing,
     mc_study,
     rayleigh_spacing,
     sample_dataset,
     sample_system,
 )
+from loadshare.simulate import _BLOCK_UNIFORMS
 
 
 class TestRngState:
@@ -75,7 +78,23 @@ class TestSampleSystem:
         assert abs(data.mean() - 0.125) <= 3 * se
 
 
+class _NearOne(RngState):
+    """Every uniform is the largest double below 1, so -log(U) is about 1.1e-16."""
+
+    def uniform_open(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+    def child(self, index):
+        return self
+
+
 class TestSampleDataset:
+    def test_spacing_underflow_is_a_parameter_error(self):
+        # a valid stage rate near the float64 maximum sends -log(U) / rate to 0
+        spec, params = ModelSpec.kim_kvam(2), Params(8e307, (1.0,))
+        with pytest.raises(InvalidParams, match=r"theta=8e\+307.*stage 1"):
+            sample_dataset(spec, params, 3, _NearOne(0))
+
     def test_zero_n_rejected(self):
         with pytest.raises(InvalidSampleSize):
             sample_dataset(ModelSpec.kim_kvam(2), Params(1.0, (1.0,)), 0, RngState(0))
@@ -140,11 +159,56 @@ class TestMcStudy:
         spec = ModelSpec.ssk(4, 2)
         truth = Params(1.0, (1.5, 0.8, 2.0))
         a = mc_study(spec, truth, 6, 600, RngState(8))
-        b = mc_study(spec, truth, 6, 600, RngState(8))
-        c = mc_study(spec, truth, 6, 600, RngState(8), workers=3)
-        for field in ("mean_estimates", "bias", "mse", "se_mean", "se_mse"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-            assert np.array_equal(getattr(a, field), getattr(c, field))
+        for other in (
+            mc_study(spec, truth, 6, 600, RngState(8)),
+            mc_study(spec, truth, 6, 600, RngState(8), workers=3),
+            mc_study(spec, truth, 6, 600, RngState(8), workers=4),
+        ):
+            for field in ("mean_estimates", "bias", "mse", "se_mean", "se_mse"):
+                assert np.array_equal(getattr(a, field), getattr(other, field))
+
+    @pytest.mark.parametrize(
+        "spec,truth",
+        [
+            (ModelSpec.kim_kvam(3), Params(1.0, (2.0, 0.5))),
+            (ModelSpec.ssk(4, 2), Params(0.7, (1.5, 0.8, 2.0))),
+        ],
+        ids=["kim-kvam", "ssk"],
+    )
+    @pytest.mark.parametrize(
+        "reps_for_block",
+        [lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: 2 * b + 3],
+        ids=["one", "below-block", "at-block", "across-blocks"],
+    )
+    def test_matches_per_replication_reference(self, spec, truth, reps_for_block):
+        # The blocks must give exactly what fitting each replication's rows of
+        # the same stream one at a time gives.
+        n = 7
+        reps = reps_for_block(_BLOCK_UNIFORMS // (n * spec.k))
+        stream = RngState(21).child(0)
+        estimates = np.array([
+            closed_form_mle(spec, sample_dataset(spec, truth, n, stream)).params_hat.as_array()
+            for _ in range(reps)
+        ])
+        errors = estimates - truth.as_array()
+        s = mc_study(spec, truth, n, reps, RngState(21))
+        assert s.reps == reps
+        assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
+        assert np.array_equal(s.mse, (errors**2).mean(axis=0))
+        if reps > 1:
+            assert np.array_equal(s.se_mean, estimates.std(axis=0, ddof=1) / math.sqrt(reps))
+            assert np.array_equal(s.se_mse, (errors**2).std(axis=0, ddof=1) / math.sqrt(reps))
+        else:
+            assert np.isnan(s.se_mean).all() and np.isnan(s.se_mse).all()
+
+    def test_caller_stream_not_advanced(self):
+        rng = RngState(17)
+        mc_study(ModelSpec.kim_kvam(3), Params(1.0, (1.0, 1.0)), 5, 40, rng)
+        assert np.array_equal(rng.uniform_open(6), RngState(17).uniform_open(6))
+
+    def test_spacing_underflow_is_a_parameter_error(self):
+        with pytest.raises(InvalidParams, match=r"theta=8e\+307.*stage 1"):
+            mc_study(ModelSpec.kim_kvam(2), Params(8e307, (1.0,)), 2, 3, _NearOne(0))
 
     def test_bias_and_mse_shrink_with_sample_size(self):
         spec = ModelSpec.kim_kvam(3)
