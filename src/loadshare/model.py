@@ -28,7 +28,7 @@ the closed form (see :mod:`loadshare.estimate`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -202,12 +202,16 @@ def _survivors(k: int) -> np.ndarray:
     return np.arange(k, 0, -1, dtype=float)
 
 
-def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
-    """Per-stage hazard multipliers (1, lambda_1, ..., lambda_{k-1})."""
+def _check_lambdas(spec: ModelSpec, params: Params) -> None:
     if len(params.lambdas) != spec.k - 1:
         raise DimensionMismatch(
             f"model with k={spec.k} needs {spec.k - 1} multipliers, got {len(params.lambdas)}"
         )
+
+
+def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
+    """Per-stage hazard multipliers (1, lambda_1, ..., lambda_{k-1})."""
+    _check_lambdas(spec, params)
     return np.array((1.0, *params.lambdas))
 
 
@@ -225,25 +229,46 @@ class SufficientStats:
     n: int
     totals: tuple[float, ...]
     log_term: float
+    # Data-only parts of the log-likelihood, computed once for _log_likelihood.
+    _log_orderings: float = field(init=False, repr=False, compare=False)
+    _nk: int = field(init=False, repr=False, compare=False)
+    _totals: np.ndarray = field(init=False, repr=False, compare=False)
+    _lam_buf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = self.spec.k
+        object.__setattr__(self, "_log_orderings", self.n * _log_factorial(k))
+        object.__setattr__(self, "_nk", self.n * k)
+        object.__setattr__(self, "_totals", np.asarray(self.totals))
+        object.__setattr__(self, "_lam_buf", np.ones(k))
 
     def log_likelihood(self, params: Params) -> float:
         """Exact log-likelihood; see :func:`log_likelihood`."""
-        lam_full = _multipliers(self.spec, params)
-        n, k = self.n, self.spec.k
+        _check_lambdas(self.spec, params)
+        return self._log_likelihood(params.theta, params.lambdas)
+
+    def _log_likelihood(self, theta: float, lambdas: Sequence[float]) -> float:
+        """Log-likelihood at plain floats theta > 0 and k-1 lambdas > 0, unchecked.
+
+        The value-only path for callers that evaluate it many times; it
+        reuses one (1, lambda...) buffer, so calls must not overlap.
+        """
+        lam_full = self._lam_buf
+        lam_full[1:] = lambdas
         # fsum keeps the accumulation error at one rounding of the total, which
         # matters to value-only consumers resolving tiny likelihood differences.
         return math.fsum([
-            n * _log_factorial(k),
-            n * k * math.log(params.theta),
-            n * math.fsum(math.log(l) for l in params.lambdas),
-            -params.theta * float(np.asarray(self.totals) @ lam_full),
+            self._log_orderings,
+            self._nk * math.log(theta),
+            self.n * math.fsum(map(math.log, lambdas)),
+            -theta * float(self._totals @ lam_full),
             self.log_term,
         ])
 
     def score(self, params: Params) -> np.ndarray:
         """Log-likelihood gradient; see :func:`score`."""
         lam_full = _multipliers(self.spec, params)
-        totals = np.asarray(self.totals)
+        totals = self._totals
         grad = np.empty(self.spec.k)
         grad[0] = self.n * self.spec.k / params.theta - float(totals @ lam_full)
         grad[1:] = self.n / lam_full[1:] - params.theta * totals[1:]

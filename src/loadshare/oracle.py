@@ -5,9 +5,11 @@ way one would without the closed forms: cyclic coordinate ascent driven by
 nothing but log-likelihood values. Each coordinate is searched in log space
 (so positivity is structural, never clamped) by bracketing a maximum with
 geometric expansion and refining it with derivative-free golden-section
-search on likelihood values of the data's sufficient statistics. It shares
-no code path with the analytic score or the closed-form ratios, so agreement
-between the two routes is meaningful evidence, not circularity.
+search on likelihood values of the data's sufficient statistics. The
+objective is built once per dataset: the statistic is reduced once, and each
+evaluation passes plain floats to its value-only log-likelihood. The search
+shares no code path with the analytic score or the closed-form ratios, so
+agreement between the two routes is meaningful evidence, not circularity.
 
 A proposed coordinate move is accepted only if it strictly increases the
 log-likelihood. That makes the ascent monotone by construction and lets it
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .estimate import FitResult, closed_form_mle
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, log_likelihood, sufficient_stats
+from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, sufficient_stats
 from .simulate import RngState, sample_dataset
 
 __all__ = [
@@ -132,53 +134,61 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix, cfg: OracleConfig | None = N
     """Maximize the log-likelihood using function values only.
 
     Starts from all parameters equal to 1 (the known stage-1 multiplier) with
-    no data-dependent warm start, so the check stays adversarial. Raises
+    no data-dependent warm start, so the check stays adversarial. The
+    objective is built once per dataset from its sufficient statistic; a probe
+    whose exp(u) leaves the positive float64 range scores -inf. Raises
     :class:`NoConvergence` if the sweep limit is hit while parameters are
     still moving faster than ``cfg.tol``.
     """
     if cfg is None:
         cfg = OracleConfig()
     stats = sufficient_stats(spec, t)
+    evaluate = stats._log_likelihood
     k = spec.k
     evals = 0
 
     def objective(u: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        values = np.exp(u)
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            return -math.inf
-        return stats.log_likelihood(Params(values[0], tuple(values[1:])))
+        values = np.exp(u).tolist()
+        for v in values:
+            if not (math.isfinite(v) and v > 0.0):
+                return -math.inf
+        return evaluate(values[0], values[1:])
 
     u = np.zeros(k)  # log space; exp(0) = 1 everywhere
-    f_cur = objective(u)
     steps = np.full(k, 0.5)
     sweeps_used = cfg.max_iters
     converged = False
 
-    for sweep in range(1, cfg.max_iters + 1):
-        max_rel_change = 0.0
-        for i in range(k):
-            def g(x, _i=i):
+    # Probes far out in log space overflow or underflow exp(u) or the exponent;
+    # the objective reads those as -inf, so numpy need not warn about them.
+    with np.errstate(over="ignore", under="ignore"):
+        f_cur = objective(u)
+        for sweep in range(1, cfg.max_iters + 1):
+            max_rel_change = 0.0
+            for i in range(k):
                 trial = u.copy()
-                trial[_i] = x
-                return objective(trial)
 
-            old = u[i]
-            best_x, best_f = _line_search_max(g, old, f_cur, steps[i], cfg.bracket_expand)
-            if best_f > f_cur:
-                u[i] = best_x
-                assert best_f >= f_cur, "line search decreased the log-likelihood"
-                f_cur = best_f
-                moved = abs(best_x - old)
-            else:
-                moved = 0.0
-            steps[i] = min(max(2.0 * moved, 1e-9), 1.0)
-            max_rel_change = max(max_rel_change, abs(math.expm1(moved)))
-        if max_rel_change < cfg.tol:
-            sweeps_used = sweep
-            converged = True
-            break
+                def g(x, _i=i, _trial=trial):
+                    _trial[_i] = x
+                    return objective(_trial)
+
+                old = u[i]
+                best_x, best_f = _line_search_max(g, old, f_cur, steps[i], cfg.bracket_expand)
+                if best_f > f_cur:
+                    u[i] = best_x
+                    assert best_f >= f_cur, "line search decreased the log-likelihood"
+                    f_cur = best_f
+                    moved = abs(best_x - old)
+                else:
+                    moved = 0.0
+                steps[i] = min(max(2.0 * moved, 1e-9), 1.0)
+                max_rel_change = max(max_rel_change, abs(math.expm1(moved)))
+            if max_rel_change < cfg.tol:
+                sweeps_used = sweep
+                converged = True
+                break
     if not converged:
         raise NoConvergence(
             f"coordinate ascent still moving after {cfg.max_iters} sweeps "
@@ -208,6 +218,7 @@ def finite_difference_gradient(
     """
     if not step > 0:
         raise InvalidParams(f"step must be > 0, got {step}")
+    stats = sufficient_stats(spec, t)
     base = params.as_array()
     grad = np.empty(base.size)
     for i, p in enumerate(base):
@@ -220,8 +231,8 @@ def finite_difference_gradient(
         up, down = base.copy(), base.copy()
         up[i] = p + h
         down[i] = p - h
-        f_up = log_likelihood(spec, Params.from_array(up), t)
-        f_down = log_likelihood(spec, Params.from_array(down), t)
+        f_up = stats.log_likelihood(Params.from_array(up))
+        f_down = stats.log_likelihood(Params.from_array(down))
         grad[i] = (f_up - f_down) / (2.0 * h)
     return grad
 

@@ -225,6 +225,19 @@ class TestVerify:
         assert "max param discrepancy" in out
         assert "verified 1/1" in out
 
+    @pytest.mark.parametrize(
+        "scale,closed",
+        [("e-300", "2.2222222222222223e+299 1.5 2"), ("e300", "2.2222222222222219e-301 1.5 2")],
+        ids=["tiny", "huge"],
+    )
+    def test_extreme_magnitudes_leak_no_warning(self, tmp_path, capsys, scale, closed):
+        data = tmp_path / "d.csv"
+        data.write_text(f"t1,t2,t3\n1{scale},2{scale},3{scale}\n2{scale},1{scale},1.5{scale}\n")
+        code, out, err = run_cli(capsys, "verify", "--model", "kim-kvam", "--data", str(data))
+        assert code in (0, 3)
+        assert "Warning" not in err and "Traceback" not in err
+        assert f"  closed:  {closed}\n" in out
+
     @pytest.mark.parametrize("model", ["kim-kvam", "ssk"])
     def test_random_instances(self, capsys, model):
         code, out, _ = run_cli(

@@ -11,6 +11,7 @@ from loadshare import (
     SpacingsMatrix,
 )
 from loadshare.io import (
+    _WRITE_BLOCK_ROWS,
     format_float,
     json_dumps,
     read_dataset,
@@ -53,6 +54,27 @@ class TestDatasetRoundTrip:
         buf = io.StringIO()
         write_dataset(SpacingsMatrix([[1.0, 2.0, 3.0]]), buf)
         assert buf.getvalue().splitlines()[0] == "t1,t2,t3"
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize(
+        "rows",
+        [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 7],
+    )
+    def test_blocked_writer_matches_per_value_formatting(self, rows, k):
+        rng = np.random.default_rng(rows * 10 + k)
+        values = 10.0 ** rng.uniform(-320.0, 308.0, size=(rows, k))
+        extremes = [5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 9.999999999999999e307, 1 / 3]
+        values.flat[: len(extremes)] = extremes[: values.size]
+        matrix = SpacingsMatrix(values)
+        expected = "".join(
+            [",".join(f"t{j + 1}" for j in range(k)) + "\n"]
+            + [",".join(format_float(v) for v in row) + "\n" for row in matrix.data]
+        )
+        for source in (matrix, matrix.data):
+            buf = io.StringIO()
+            write_dataset(source, buf)
+            assert buf.getvalue() == expected
 
 
 class TestDatasetParsing:

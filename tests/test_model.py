@@ -129,6 +129,33 @@ class TestSufficientStats:
         stats = sufficient_stats(spec, SpacingsMatrix([row]))
         assert stats.totals == totals and stats.n == 1
 
+    @pytest.mark.parametrize("kind", [ModelKind.KIM_KVAM, ModelKind.SSK])
+    def test_value_path_is_bitwise_log_likelihood(self, kind):
+        def reference(stats, params):
+            n, k = stats.n, stats.spec.k
+            lam_full = np.array((1.0, *params.lambdas))
+            return math.fsum([
+                n * sum(math.log(i) for i in range(2, k + 1)),
+                n * k * math.log(params.theta),
+                n * math.fsum(math.log(l) for l in params.lambdas),
+                -params.theta * float(np.asarray(stats.totals) @ lam_full),
+                stats.log_term,
+            ])
+
+        rng = RngState(20240101)
+        for seed in range(10):
+            k = 3 + seed % 4
+            spec, _, data = random_case(seed, kind, k=k, n=1 + 3 * seed, s=2)
+            stats = sufficient_stats(spec, data)
+            points = [
+                Params.from_array(np.exp(rng.uniform_open(k) * 20 - 10)) for _ in range(5)
+            ]
+            # The value path reuses one buffer; interleaving shows it carries nothing over.
+            fast = [stats._log_likelihood(p.theta, list(p.lambdas)) for p in points]
+            slow = [stats.log_likelihood(p) for p in reversed(points)][::-1]
+            for p, f, full in zip(points, fast, slow):
+                assert f.hex() == full.hex() == reference(stats, p).hex()
+
 
 class TestSpacingsFromLifetimes:
     def test_sorts_then_differences(self):

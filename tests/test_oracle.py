@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import loadshare.oracle as oracle
 from loadshare import (
     InvalidParams,
     ModelKind,
@@ -57,6 +61,63 @@ class TestNumericMle:
         spec, _, data = random_instances(ModelKind.KIM_KVAM, 1, 0)[0]
         with pytest.raises(NoConvergence):
             numeric_mle(spec, data, OracleConfig(max_iters=1))
+
+    @pytest.mark.parametrize(
+        "kind,params_hex,loglik_hex,diagnostics",
+        [
+            (
+                ModelKind.KIM_KVAM,
+                ["0x1.1f2c4a1c474a7p+3", "0x1.c41d5cef7ce9bp-1", "0x1.bf09f49dddee7p-2",
+                 "0x1.a35103fee74e5p-2"],
+                "0x1.870039b07dec6p+5",
+                {"sweeps": 57, "loglik_evals": 9938},
+            ),
+            (
+                ModelKind.SSK,
+                ["0x1.5955b1b096acap+1", "0x1.8f7d5204d0731p-3", "0x1.f514b6048d568p-2",
+                 "0x1.1483bb695ba8bp-2", "0x1.62b0f0ba0aa6cp-1"],
+                "0x1.d1314ae4fcd0ep+2",
+                {"sweeps": 74, "loglik_evals": 16324},
+            ),
+        ],
+        ids=["kim-kvam", "ssk"],
+    )
+    def test_search_path_pinned(self, kind, params_hex, loglik_hex, diagnostics):
+        # Exact bits of the ascent's result: any change to the search path shows here.
+        spec, _, data = random_instances(kind, 1, 3)[0]
+        fit = numeric_mle(spec, data)
+        assert [float(v).hex() for v in fit.params_hat.as_array()] == params_hex
+        assert fit.loglik_at_mle.hex() == loglik_hex
+        assert fit.diagnostics == diagnostics
+
+    @pytest.mark.parametrize(
+        "scale,outside",
+        [
+            (1e-300, lambda x: x > math.log(np.finfo(float).max)),  # exp(u) overflows
+            (1e300, lambda x: np.exp(x) == 0.0),  # exp(u) underflows to 0
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_objective_outside_float_range_is_minus_inf(self, monkeypatch, scale, outside):
+        probes = []
+        search = oracle._line_search_max
+
+        def recording_search(g, *args):
+            def recorded(x):
+                f = g(x)
+                probes.append((x, f))
+                return f
+
+            return search(recorded, *args)
+
+        monkeypatch.setattr(oracle, "_line_search_max", recording_search)
+        data = SpacingsMatrix(scale * np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numeric_mle(ModelSpec.kim_kvam(3), data)
+        with np.errstate(all="ignore"):
+            hits = [f for x, f in probes if outside(x)]
+        assert hits and all(f == -math.inf for f in hits)
 
     def test_converges_on_default_validation_sets(self):
         # small slice here; the full 50-instance sets run in the acceptance suite
