@@ -33,7 +33,6 @@ from .model import (
 )
 from .oracle import (
     CrosscheckResult,
-    OracleConfig,
     crosscheck,
     finite_difference_gradient,
     numeric_mle,
@@ -77,7 +76,6 @@ __all__ = [
     "sample_system",
     "sample_dataset",
     "mc_study",
-    "OracleConfig",
     "CrosscheckResult",
     "numeric_mle",
     "finite_difference_gradient",

@@ -95,6 +95,10 @@ def _read_dataset_file(path: str, assume_lifetimes: bool) -> SpacingsMatrix:
             return read_dataset(handle, assume_lifetimes=assume_lifetimes)
     except OSError as exc:
         raise DataFileError(f"cannot read dataset: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current chunk, not the file start.
+        bad = exc.object[exc.start : exc.end]
+        raise DataFileError(f"dataset is not UTF-8 text ({exc.reason} {bad!r})") from None
 
 
 def _fit_as_json(fit: FitResult) -> str:

@@ -46,7 +46,7 @@ class InvalidSampleSize(LoadShareError):
 
 
 class NoConvergence(LoadShareError):
-    """Iterative maximizer hit its sweep limit before meeting tolerance."""
+    """Iterative maximizer stopped without certifying a maximum."""
 
 
 class DataFileError(LoadShareError):

@@ -31,8 +31,9 @@ class FitResult:
     ``stats`` is the :class:`SufficientStats` of the data under ``model``
     that the fit was computed from, so a fit is auditable without
     re-touching the raw data. ``diagnostics`` is free-form metadata (the
-    iterative cross-check records its sweep and evaluation counts there; the
-    closed form leaves it empty).
+    iterative cross-check records its Newton iterations as ``sweeps``, its
+    ``loglik_evals`` and its final Newton ``decrement``; the closed form leaves
+    it empty).
     """
 
     params_hat: Params

@@ -40,7 +40,8 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _json_fragment(obj) -> str:
+def json_dumps(obj) -> str:
+    """JSON text with floats at full precision (see :func:`format_float`)."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -53,16 +54,11 @@ def _json_fragment(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
+        items = ", ".join(f"{json.dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
+        return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def json_dumps(obj) -> str:
-    """JSON text with floats at full precision (see :func:`format_float`)."""
-    return _json_fragment(obj)
 
 
 def write_dataset(spacings, stream: IO[str]) -> None:

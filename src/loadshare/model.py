@@ -339,15 +339,14 @@ def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:
             col=j + 1,
         )
     ordered = np.sort(arr, axis=1)
-    for i in range(ordered.shape[0]):
-        row = ordered[i]
-        dup = np.nonzero(row[1:] == row[:-1])[0]
-        if dup.size:
-            raise DuplicateLifetime(
-                f"system {i + 1} contains the lifetime {row[dup[0]]} twice; "
-                "tied failures give a zero spacing",
-                row=i + 1,
-            )
+    tied = ordered[:, 1:] == ordered[:, :-1]
+    if tied.any():
+        i, j = map(int, np.argwhere(tied)[0])
+        raise DuplicateLifetime(
+            f"system {i + 1} contains the lifetime {ordered[i, j]} twice; "
+            "tied failures give a zero spacing",
+            row=i + 1,
+        )
     spacings = np.diff(ordered, axis=1, prepend=0.0)
     return SpacingsMatrix(spacings)
 

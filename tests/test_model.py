@@ -171,6 +171,34 @@ class TestSpacingsFromLifetimes:
             spacings_from_lifetimes([[2, 2, 3]])
         assert err.value.row == 1
 
+    def test_first_tied_row_is_reported(self):
+        rows = [[1, 2, 3], [4, 5, 6], [7, 0.5, 7], [1, 3, 2], [9, 9, 8]]
+        with pytest.raises(DuplicateLifetime) as err:
+            spacings_from_lifetimes(rows)
+        assert err.value.row == 3
+        assert str(err.value) == (
+            "system 3 contains the lifetime 7.0 twice; tied failures give a zero spacing"
+        )
+
+    def test_tie_check_matches_row_loop(self):
+        # Reference: the first tie found by scanning the sorted rows one by one.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            rows = rng.integers(1, 8, size=(int(rng.integers(1, 6)), 4)).astype(float)
+            expected = None
+            for i, row in enumerate(np.sort(rows, axis=1), start=1):
+                dup = np.nonzero(row[1:] == row[:-1])[0]
+                if dup.size:
+                    expected = (i, f"system {i} contains the lifetime {row[dup[0]]} twice; "
+                                   "tied failures give a zero spacing")
+                    break
+            if expected is None:
+                spacings_from_lifetimes(rows)
+                continue
+            with pytest.raises(DuplicateLifetime) as err:
+                spacings_from_lifetimes(rows)
+            assert (err.value.row, str(err.value)) == expected
+
     def test_nonpositive_lifetime(self):
         with pytest.raises(NonPositiveLifetime):
             spacings_from_lifetimes([[1.0, -2.0, 3.0]])
