@@ -45,7 +45,6 @@ from .simulate import (
     mc_study,
     rayleigh_spacing,
     sample_dataset,
-    sample_system,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "McSummary",
     "exponential_spacing",
     "rayleigh_spacing",
-    "sample_system",
     "sample_dataset",
     "mc_study",
     "CrosscheckResult",

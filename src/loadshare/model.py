@@ -28,7 +28,7 @@ the closed form (see :mod:`loadshare.estimate`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -105,11 +105,6 @@ class ModelSpec:
     def ssk(cls, k: int, s: int) -> "ModelSpec":
         return cls(ModelKind.SSK, k, s)
 
-    @property
-    def n_params(self) -> int:
-        """Number of free parameters: theta plus k-1 load-share multipliers."""
-        return self.k
-
 
 @dataclass(frozen=True)
 class Params:
@@ -144,6 +139,25 @@ class Params:
         return cls(values[0], tuple(values[1:]))
 
 
+def _positive_matrix(data, what: str) -> np.ndarray:
+    """Float copy of ``data``, checked to be 2-D with every cell finite and > 0.
+
+    ``what`` ("spacing" or "lifetime") names the cells in the error messages.
+    """
+    arr = np.array(data, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"{what}s must form a 2-D matrix, got {arr.ndim} dimension(s)")
+    bad = ~(np.isfinite(arr) & (arr > 0))
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise NonPositiveLifetime(
+            f"{what} at row {i + 1}, column {j + 1} must be finite and > 0 (got {arr[i, j]})",
+            row=i + 1,
+            col=j + 1,
+        )
+    return arr
+
+
 class SpacingsMatrix:
     """n x k matrix of inter-failure spacings, one independent system per row.
 
@@ -156,22 +170,9 @@ class SpacingsMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch(
-                f"spacings must form a 2-D matrix, got {arr.ndim} dimension(s)"
-            )
+        arr = _positive_matrix(data, "spacing")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"spacings matrix must be non-empty, got shape {arr.shape}")
-        bad = ~(np.isfinite(arr) & (arr > 0))
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise NonPositiveLifetime(
-                f"spacing at row {i + 1}, column {j + 1} must be finite and > 0 "
-                f"(got {arr[i, j]})",
-                row=i + 1,
-                col=j + 1,
-            )
         arr.flags.writeable = False
         self._data = arr
 
@@ -221,7 +222,8 @@ class SufficientStats:
 
     ``totals`` are the per-stage exposure totals S_1..S_k, so that the
     likelihood exponent is ``-theta * S . (1, lambda_1, ...)``; ``log_term``
-    is the sum of log-spacings past the switch (ssk only, else 0). Build it
+    is the sum of log-spacings past the switch (ssk only, else 0). A plain
+    value with no cache, so calls from several threads may overlap. Build it
     with :func:`sufficient_stats`.
     """
 
@@ -229,46 +231,38 @@ class SufficientStats:
     n: int
     totals: tuple[float, ...]
     log_term: float
-    # Data-only parts of the log-likelihood, computed once for _log_likelihood.
-    _log_orderings: float = field(init=False, repr=False, compare=False)
-    _nk: int = field(init=False, repr=False, compare=False)
-    _totals: np.ndarray = field(init=False, repr=False, compare=False)
-    _lam_buf: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = self.spec.k
-        object.__setattr__(self, "_log_orderings", self.n * _log_factorial(k))
-        object.__setattr__(self, "_nk", self.n * k)
-        object.__setattr__(self, "_totals", np.asarray(self.totals))
-        object.__setattr__(self, "_lam_buf", np.ones(k))
 
     def log_likelihood(self, params: Params) -> float:
         """Exact log-likelihood; see :func:`log_likelihood`."""
         _check_lambdas(self.spec, params)
-        return self._log_likelihood(params.theta, params.lambdas)
+        with np.errstate(over="ignore"):
+            return self._log_likelihood(params.theta, params.lambdas)
 
     def _log_likelihood(self, theta: float, lambdas: Sequence[float]) -> float:
         """Log-likelihood at plain floats theta > 0 and k-1 lambdas > 0, unchecked.
 
-        The value-only path for callers that evaluate it many times; it
-        reuses one (1, lambda...) buffer, so calls must not overlap.
+        The value-only path for callers that evaluate it many times; it keeps
+        no state, so calls may overlap. Where S . (1, lambda...) can overflow,
+        call it under ``np.errstate(over="ignore")`` as :meth:`log_likelihood` does.
         """
-        lam_full = self._lam_buf
-        lam_full[1:] = lambdas
+        lam_full = (1.0, *lambdas)
+        exposure = theta * float(np.dot(self.totals, lam_full))
+        if math.isinf(exposure):  # S . lambda overflowed; theta * S may not
+            exposure = float(np.dot([theta * s for s in self.totals], lam_full))
         # fsum keeps the accumulation error at one rounding of the total, which
         # matters to value-only consumers resolving tiny likelihood differences.
         return math.fsum([
-            self._log_orderings,
-            self._nk * math.log(theta),
+            self.n * _log_factorial(self.spec.k),
+            self.n * self.spec.k * math.log(theta),
             self.n * math.fsum(map(math.log, lambdas)),
-            -theta * float(self._totals @ lam_full),
+            -exposure,
             self.log_term,
         ])
 
     def score(self, params: Params) -> np.ndarray:
         """Log-likelihood gradient; see :func:`score`."""
         lam_full = _multipliers(self.spec, params)
-        totals = self._totals
+        totals = np.array(self.totals)
         grad = np.empty(self.spec.k)
         grad[0] = self.n * self.spec.k / params.theta - float(totals @ lam_full)
         grad[1:] = self.n / lam_full[1:] - params.theta * totals[1:]
@@ -324,20 +318,7 @@ def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:
     a zero spacing would make the load-share estimates undefined, and
     breaking ties is a caller policy, not something done silently here.
     """
-    arr = np.array(lifetimes, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(
-            f"lifetimes must form a 2-D matrix, got {arr.ndim} dimension(s)"
-        )
-    bad = ~(np.isfinite(arr) & (arr > 0))
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NonPositiveLifetime(
-            f"lifetime at row {i + 1}, column {j + 1} must be finite and > 0 "
-            f"(got {arr[i, j]})",
-            row=i + 1,
-            col=j + 1,
-        )
+    arr = _positive_matrix(lifetimes, "lifetime")
     ordered = np.sort(arr, axis=1)
     tied = ordered[:, 1:] == ordered[:, :-1]
     if tied.any():

@@ -41,7 +41,6 @@ __all__ = [
     "McSummary",
     "exponential_spacing",
     "rayleigh_spacing",
-    "sample_system",
     "sample_dataset",
     "mc_study",
 ]
@@ -149,13 +148,8 @@ def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple)
     return t
 
 
-def sample_system(spec: ModelSpec, params: Params, rng: RngState) -> np.ndarray:
-    """One system's k stage spacings, drawn stage by stage from ``rng``."""
-    return _draw_spacings(spec, params, rng, ())
-
-
 def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> SpacingsMatrix:
-    """n independent systems; identical to n successive :func:`sample_system` rows."""
+    """n independent systems; the same draws as n successive datasets of one system."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidSampleSize(f"sample size n must be a positive integer, got {n!r}")
     return SpacingsMatrix(_draw_spacings(spec, params, rng, (n,)))
@@ -165,16 +159,16 @@ def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> Sp
 class McSummary:
     """Per-parameter recovery summary over ``reps`` simulated replications.
 
-    Vectors are ordered (theta, lambda_1, ..., lambda_{k-1}). ``se_mean`` and
-    ``se_mse`` are the Monte Carlo standard errors of ``mean_estimates`` and
-    ``mse``, for noise-aware comparisons; they are NaN when reps < 2.
+    Vectors are ordered (theta, lambda_1, ..., lambda_{k-1}); ``bias`` and
+    ``mse`` are taken about the true parameters given to :func:`mc_study`.
+    ``se_mean`` and ``se_mse`` are the Monte Carlo standard errors of
+    ``mean_estimates`` and ``mse``; they are NaN when reps < 2.
     """
 
     reps: int
     mean_estimates: np.ndarray
     bias: np.ndarray
     mse: np.ndarray
-    truth: Params
     se_mean: np.ndarray
     se_mse: np.ndarray
 
@@ -274,7 +268,6 @@ def mc_study(
         mean_estimates=mean,
         bias=bias,
         mse=mse,
-        truth=truth,
         se_mean=se_mean,
         se_mse=se_mse,
     )

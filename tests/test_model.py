@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from loadshare import (
     DuplicateLifetime,
     InvalidModel,
     InvalidParams,
+    LoadShareError,
     ModelKind,
     ModelSpec,
     NonPositiveLifetime,
@@ -40,7 +43,7 @@ class TestModelSpec:
     def test_kim_kvam_round_trip(self):
         spec = ModelSpec.kim_kvam(4)
         assert spec.kind is ModelKind.KIM_KVAM
-        assert spec.k == 4 and spec.s is None and spec.n_params == 4
+        assert spec.k == 4 and spec.s is None
 
     def test_ssk_round_trip(self):
         spec = ModelSpec.ssk(5, 3)
@@ -109,6 +112,45 @@ class TestSpacingsMatrix:
             SpacingsMatrix([1.0, 2.0])
 
 
+def _cell_case(build, what, value):
+    """A 2 x 2 input whose cell (2, 1) holds ``value``, and the message naming it."""
+    message = f"{what} at row 2, column 1 must be finite and > 0 (got {value})"
+    return build, [[1.0, 2.0], [value, 3.0]], NonPositiveLifetime, message, 2, 1
+
+
+class TestValidatorMessages:
+    """The exact exception, message and cell of every rejected matrix."""
+
+    @pytest.mark.parametrize(
+        "build,data,exc,message,row,col",
+        [
+            (SpacingsMatrix, [1.0, 2.0], DimensionMismatch,
+             "spacings must form a 2-D matrix, got 1 dimension(s)", None, None),
+            (SpacingsMatrix, [[]], DimensionMismatch,
+             "spacings matrix must be non-empty, got shape (1, 0)", None, None),
+            *(_cell_case(SpacingsMatrix, "spacing", v) for v in (0.0, -1.0, math.nan, math.inf)),
+            (spacings_from_lifetimes, [[[1.0, 2.0]]], DimensionMismatch,
+             "lifetimes must form a 2-D matrix, got 3 dimension(s)", None, None),
+            # an empty lifetimes matrix is rejected by the spacings it becomes
+            (spacings_from_lifetimes, np.empty((0, 3)), DimensionMismatch,
+             "spacings matrix must be non-empty, got shape (0, 3)", None, None),
+            *(_cell_case(spacings_from_lifetimes, "lifetime", v)
+              for v in (0.0, -1.0, math.nan, math.inf)),
+        ],
+        ids=[
+            f"{build}-{case}"
+            for build in ("spacings", "lifetimes")
+            for case in ("rank", "empty", "zero", "negative", "nan", "inf")
+        ],
+    )
+    def test_exact_error(self, build, data, exc, message, row, col):
+        with pytest.raises(LoadShareError) as err:
+            build(data)
+        assert type(err.value) is exc
+        assert str(err.value) == message
+        assert (getattr(err.value, "row", None), getattr(err.value, "col", None)) == (row, col)
+
+
 class TestSufficientStats:
     def test_positivity_enforced(self):
         # 1e-200 squared underflows: the stage-3 total would be 0
@@ -150,11 +192,41 @@ class TestSufficientStats:
             points = [
                 Params.from_array(np.exp(rng.uniform_open(k) * 20 - 10)) for _ in range(5)
             ]
-            # The value path reuses one buffer; interleaving shows it carries nothing over.
+            # Interleaving the two paths shows neither carries state from call to call.
             fast = [stats._log_likelihood(p.theta, list(p.lambdas)) for p in points]
             slow = [stats.log_likelihood(p) for p in reversed(points)][::-1]
             for p, f, full in zip(points, fast, slow):
                 assert f.hex() == full.hex() == reference(stats, p).hex()
+
+    def test_concurrent_evaluations_match_serial(self):
+        # Two threads evaluate one SufficientStats at two points, switching
+        # as often as the interpreter allows; no call may see the other's state.
+        spec, _, data = random_case(5, ModelKind.SSK, k=4, n=6)
+        stats = sufficient_stats(spec, data)
+        points = [(0.7, [1.3, 0.4, 2.2]), (2.5, [0.6, 1.9, 0.8])]
+        serial = [stats._log_likelihood(theta, lambdas) for theta, lambdas in points]
+        results = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def evaluate(i):
+            theta, lambdas = points[i]
+            start.wait()
+            results[i] = [stats._log_likelihood(theta, lambdas) for _ in range(30_000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(r) for r in results] == [30_000, 30_000]
+        wrong = sum(v != serial[i] for i, values in enumerate(results) for v in values)
+        assert wrong == 0, f"{wrong} of 60000 concurrent values differ from the serial ones"
 
 
 class TestSpacingsFromLifetimes:

@@ -1,18 +1,23 @@
-"""Property tests of the CLI contract over extreme parameter magnitudes.
+"""Property tests of the CLI contract over extreme inputs.
 
 ``simulate`` and ``mc-study`` must answer every theta and lambda in
 [1e-320, 1e308] with exit 0 or 2: no data error, no traceback, no warning.
+``fit`` and ``verify`` must answer every dataset file with exit 0, 1 or 3,
+with no traceback and no warning, and an error about one cell must name
+that cell's row and column.
 """
 
 import contextlib
 import io
 import math
+import os
+import tempfile
 import warnings
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loadshare.cli import main
 
@@ -54,3 +59,98 @@ def test_extreme_parameters_exit_0_or_2(flags, command, n, reps, seed):
     assert code in (0, 2), err
     assert "Traceback" not in err and "Warning" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+# (text in the file, the cell the CSV reader yields for it)
+_ODD_CELLS = [
+    (text, text)
+    for text in ("nan", "inf", "-inf", "1e400", "5e-324", "5e307", "1e308", "0", "-1", "x", "")
+] + [('"2.5"', "2.5"), ('" 7"', " 7"), ('"1,5"', "1,5")]
+_ordinary = st.floats(1e-3, 1e3).map(lambda v: (repr(v), repr(v)))
+cells = st.one_of(*[_ordinary] * 5, st.sampled_from(_ODD_CELLS))
+
+
+def _first_bad_cell(rows, k, first_row):
+    """(row, column) of the first cell that is not a number finite and > 0.
+
+    None if a row of the wrong width comes first: that error is about the row.
+    """
+    for row, values in enumerate(rows, start=first_row):
+        if len(values) != k:
+            return None
+        for col, cell in enumerate(values, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return row, col
+            if not (math.isfinite(value) and value > 0):
+                return row, col
+    return None
+
+
+@st.composite
+def dataset_files(draw):
+    """(file text, model and mode flags, the cell the error must name or None)."""
+    k = draw(st.integers(2, 4))
+    rows = [[draw(cells) for _ in range(k)] for _ in range(draw(st.integers(1, 4)))]
+    header = draw(st.sampled_from(["t", "x", "none", "bad"]))
+    # headerless files without the lifetimes flag fail as bad headers do
+    lifetimes = header == "none" or draw(st.booleans())
+    names = None
+    if header == "t":
+        names = [f"t{j}" for j in range(1, k + 1)]
+    elif header == "x":  # header names are case-insensitive
+        names = [f"X{j}" for j in range(1, k + 1)]
+    elif header == "bad":
+        names = draw(st.sampled_from([
+            [f"t{j}" for j in range(k, 0, -1)],
+            ["x1"] + [f"t{j}" for j in range(2, k + 1)],
+            [f"y{j}" for j in range(1, k + 1)],
+        ]))
+    if names is not None:
+        rows.insert(0, [(name, name) for name in names])
+    if len(rows) > 1 and draw(st.integers(0, 3)) == 0:  # a ragged last row
+        rows[-1] = rows[-1][:-1] if draw(st.booleans()) else rows[-1] + rows[-1][:1]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(",".join(raw for raw, _ in row) + newline for row in rows)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+
+    parsed = [[cell for _, cell in row] for row in rows]
+    if header in ("t", "x"):
+        bad = None if header == "t" and lifetimes else _first_bad_cell(parsed[1:], k, 2)
+    else:
+        bad = _first_bad_cell(parsed, k, 1) if lifetimes else None
+    flags = ["--model", "kim-kvam"]
+    if k > 2 and draw(st.booleans()):
+        flags = ["--model", "ssk", "--s", str(draw(st.integers(2, k - 1)))]
+    return text, flags + ["--lifetimes"] * lifetimes, bad
+
+
+# Spacings whose totals are finite but whose sum S_1 + S_2 is not.
+_OVERFLOWING_SUM = ("t1,t2\n5e307,1e308\n", ["--model", "kim-kvam"], None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=dataset_files(),
+    command=st.sampled_from(["fit", "verify"]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+@example(case=_OVERFLOWING_SUM, command="fit", fmt="text")
+@example(case=_OVERFLOWING_SUM, command="verify", fmt="text")
+def test_dataset_files_exit_0_1_or_3(case, command, fmt):
+    text, flags, bad = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        argv = [command, *flags, "--data", path]
+        if command == "fit":
+            argv += ["--format", fmt]
+        code, err, caught = run_main(argv)
+    assert code in (0, 1, 3), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+    if bad is not None:
+        assert code == 1 and f"row {bad[0]}, column {bad[1]}" in err, err

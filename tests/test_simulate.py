@@ -14,7 +14,6 @@ from loadshare import (
     mc_study,
     rayleigh_spacing,
     sample_dataset,
-    sample_system,
 )
 from loadshare.simulate import _BLOCK_UNIFORMS
 
@@ -65,7 +64,7 @@ class TestInverseTransforms:
 class TestSampleSystem:
     def test_shape_and_positivity(self):
         spec = ModelSpec.ssk(4, 2)
-        row = sample_system(spec, Params(1.5, (0.5, 2.0, 1.0)), RngState(0))
+        row = sample_dataset(spec, Params(1.5, (0.5, 2.0, 1.0)), 1, RngState(0)).data[0]
         assert row.shape == (4,)
         assert np.all(row > 0)
 
@@ -112,7 +111,7 @@ class TestSampleDataset:
         params = Params(0.8, (1.2, 3.0, 0.4))
         block = sample_dataset(spec, params, 6, RngState(13))
         rng = RngState(13)
-        rows = np.vstack([sample_system(spec, params, rng) for _ in range(6)])
+        rows = np.vstack([sample_dataset(spec, params, 1, rng).data for _ in range(6)])
         assert np.array_equal(block.data, rows)
 
     def test_first_column_total_near_expectation(self):
