@@ -2,8 +2,13 @@
 
 Datasets are UTF-8 CSV with a mandatory header: ``t1,...,tk`` for
 inter-failure spacings or ``x1,...,xk`` for raw component lifetimes (the
-latter are converted on load by sorting each row and differencing). LF and
-CRLF line endings are both accepted; the decimal separator is ``.``.
+latter are converted on load by sorting each row and differencing). LF,
+CRLF and CR line endings are accepted; the decimal separator is ``.``.
+Data lines are read in chunks of about 1 MB. numpy's C reader parses a chunk
+of plain unquoted numbers, finite and > 0, k to a line, with no tied
+lifetimes; any other chunk and the rest of the file go to a per-cell
+``float()`` parser, which alone words errors. An error's "row" is the
+1-based file line its record starts on, header and blank lines counted.
 Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 ``k`` and, for the ssk model only, ``s``; unknown keys are rejected.
 """
@@ -11,6 +16,7 @@ Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -18,7 +24,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DataFileError, NonPositiveLifetime
+from .errors import DataFileError, DuplicateLifetime, LoadShareError, NonPositiveLifetime
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, spacings_from_lifetimes
 
 __all__ = [
@@ -33,6 +39,7 @@ _HEADER_RE = re.compile(r"^([tx])(\d+)$")
 # Rows formatted per write: large enough to amortise the call, small enough
 # that the block's text stays a few hundred kB.
 _WRITE_BLOCK_ROWS = 4096
+_CHUNK_CHARS = 1 << 20  # characters of data lines per chunk for numpy's C reader
 
 
 def format_float(value: float) -> str:
@@ -86,37 +93,51 @@ def _parse_header(cells: list[str]) -> str | None:
     return "spacings" if kinds.pop() == "t" else "lifetimes"
 
 
-def _parse_rows(rows: Iterable[list[str]], k: int, first_data_row: int) -> np.ndarray:
-    parsed = []
-    for offset, cells in enumerate(rows):
-        row_no = first_data_row + offset
+def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, lifetimes: bool) -> list:
+    """Per-cell parse of the csv records in ``lines`` (after file line ``before`` and data row
+    ``n_before``); errors cite a record's first file line, and ties wait for every cell."""
+    reader, start = csv.reader(lines), before + 1
+    parsed, tie = [], None
+    for cells in reader:
+        row, start = start, before + reader.line_num + 1
+        if not cells:
+            continue
         if len(cells) != k:
-            raise DataFileError(
-                f"row {row_no}: expected {k} columns, got {len(cells)}"
-            )
+            raise DataFileError(f"row {row}: expected {k} columns, got {len(cells)}")
         values = []
         for col, cell in enumerate(cells, start=1):
             try:
                 value = float(cell)
             except ValueError:
-                raise DataFileError(
-                    f"row {row_no}, column {col}: {cell!r} is not a number"
-                ) from None
+                raise DataFileError(f"row {row}, column {col}: {cell!r} is not a number") from None
             if not math.isfinite(value):
-                raise DataFileError(
-                    f"row {row_no}, column {col}: {cell!r} is not finite"
-                )
+                raise DataFileError(f"row {row}, column {col}: {cell!r} is not finite")
             if value <= 0:
-                raise NonPositiveLifetime(
-                    f"row {row_no}, column {col}: value must be > 0 (got {cell})",
-                    row=row_no,
-                    col=col,
-                )
+                raise NonPositiveLifetime(f"row {row}, column {col}: value must be > 0 "
+                                          f"(got {cell})", row=row, col=col)
             values.append(value)
+        if lifetimes and tie is None and len(set(values)) < k:
+            tie = row, n_before + len(parsed) + 1, min(v for v in values if values.count(v) > 1)
         parsed.append(values)
-    if not parsed:
-        raise DataFileError("dataset contains a header but no data rows")
-    return np.array(parsed)
+    if tie is not None:
+        row, system, value = tie
+        raise DuplicateLifetime(f"row {row}: system {system} contains the lifetime {value} twice; "
+                                "tied failures give a zero spacing", row=row)
+    return parsed
+
+
+def _fast_block(lines: list[str], k: int, convert) -> np.ndarray | None:
+    """Spacings of a chunk read by numpy's C reader; None if the per-cell parser must read it."""
+    text = "".join(lines)
+    # loadtxt warns on a chunk of blank lines, and strips the separators \x1c-\x1f
+    # around a number as whitespace where float() rejects them.
+    if text.isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        return convert(block).data if block.shape[1] == k else None
+    except (ValueError, LoadShareError):  # the per-cell parser words the fault
+        return None
 
 
 def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMatrix:
@@ -126,28 +147,31 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     legacy files, treating every row (including the first) as raw lifetimes;
     combining it with an explicit ``t``-header is rejected as contradictory.
     """
-    rows = [cells for cells in csv.reader(stream) if cells]
-    if not rows:
+    head = []  # the lines the header search reads: data, if there is no header
+    first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
+    if first is None:
         raise DataFileError("dataset is empty")
-    mode = _parse_header(rows[0])
-    if mode is None:
-        if not assume_lifetimes:
-            raise DataFileError(
-                "first row is not a t1..tk or x1..xk header; "
-                "pass the lifetimes override for headerless legacy files"
-            )
-        data_rows, k, first = rows, len(rows[0]), 1
-        mode = "lifetimes"
-    else:
-        if mode == "spacings" and assume_lifetimes:
-            raise DataFileError(
-                "file has a t1..tk spacings header; the lifetimes override contradicts it"
-            )
-        data_rows, k, first = rows[1:], len(rows[0]), 2
-    values = _parse_rows(data_rows, k, first)
-    if mode == "lifetimes":
-        return spacings_from_lifetimes(values)
-    return SpacingsMatrix(values)
+    k, mode = len(first), _parse_header(first)
+    if mode is None and not assume_lifetimes:
+        raise DataFileError("first row is not a t1..tk or x1..xk header; "
+                            "pass the lifetimes override for headerless legacy files")
+    if mode == "spacings" and assume_lifetimes:
+        raise DataFileError("file has a t1..tk spacings header; "
+                            "the lifetimes override contradicts it")
+    convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
+    blocks, lines, line = [], *((head, 0) if mode is None else ([], len(head)))
+    while lines := lines + stream.readlines(_CHUNK_CHARS):
+        block = _fast_block(lines, k, convert)
+        if block is None:
+            rest, n_before = itertools.chain(lines, stream), sum(map(len, blocks))
+            values = _parse_rows(rest, line, n_before, k, convert is spacings_from_lifetimes)
+            blocks += [convert(values).data] if values else []
+            break
+        blocks.append(block)
+        lines, line = [], line + len(lines)
+    if not blocks:
+        raise DataFileError("dataset contains a header but no data rows")
+    return SpacingsMatrix(np.concatenate(blocks))
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

@@ -263,9 +263,15 @@ class SufficientStats:
         """Log-likelihood gradient; see :func:`score`."""
         lam_full = _multipliers(self.spec, params)
         totals = np.array(self.totals)
+        nk, theta = self.n * self.spec.k, params.theta
         grad = np.empty(self.spec.k)
-        grad[0] = self.n * self.spec.k / params.theta - float(totals @ lam_full)
-        grad[1:] = self.n / lam_full[1:] - params.theta * totals[1:]
+        with np.errstate(over="ignore"):
+            exposure = float(totals @ lam_full)
+            if math.isinf(exposure):  # S . lambda overflowed; (theta * S) . lambda may not
+                grad[0] = (nk - float((theta * totals) @ lam_full)) / theta
+            else:
+                grad[0] = nk / theta - exposure
+            grad[1:] = self.n / lam_full[1:] - theta * totals[1:]
         return grad
 
 

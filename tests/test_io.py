@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import loadshare.io
 from loadshare import (
     DataFileError,
+    DuplicateLifetime,
     ModelKind,
     NonPositiveLifetime,
     SpacingsMatrix,
@@ -132,6 +134,99 @@ class TestDatasetParsing:
     def test_out_of_order_header_rejected(self):
         with pytest.raises(DataFileError):
             read_dataset(io.StringIO("t2,t1\n1,2\n"))
+
+    def test_separator_control_is_not_whitespace(self):
+        # np.loadtxt strips "\x1c" around a number; float() does not.
+        with pytest.raises(DataFileError) as err:
+            read_dataset(io.StringIO("t1,t2\n\x1c1,2\n"))
+        assert str(err.value) == "row 2, column 1: '\\x1c1' is not a number"
+
+
+class TestRowNumbersAreFileLines:
+    """Every error about a row names the 1-based line of the file it starts on."""
+
+    def test_cell_after_blank_line(self):
+        with pytest.raises(NonPositiveLifetime) as err:
+            read_dataset(io.StringIO("t1,t2\n\n1,0\n"))
+        assert str(err.value) == "row 3, column 2: value must be > 0 (got 0)"
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_ragged_row_after_blank_line(self):
+        with pytest.raises(DataFileError, match=r"^row 4: expected 2 columns, got 1$"):
+            read_dataset(io.StringIO("t1,t2\n1,2\n\n3\n"))
+
+    def test_blank_line_before_header(self):
+        with pytest.raises(DataFileError, match=r"^row 3, column 1: 'x' is not a number$"):
+            read_dataset(io.StringIO("\nt1,t2\nx,1\n"))
+
+    def test_headerless_row_after_blank_lines(self):
+        with pytest.raises(DataFileError, match=r"^row 3: expected 2 columns, got 3$"):
+            read_dataset(io.StringIO("\n2,1\n1,2,3\n"), assume_lifetimes=True)
+
+    def test_tie_names_its_line(self):
+        with pytest.raises(DuplicateLifetime) as err:
+            read_dataset(io.StringIO("x1,x2,x3\n\n3,1,2\n2,5,2\n"))
+        assert err.value.row == 4
+        assert str(err.value) == (
+            "row 4: system 2 contains the lifetime 2.0 twice; tied failures give a zero spacing"
+        )
+
+    def test_first_tie_is_reported(self):
+        with pytest.raises(DuplicateLifetime, match="^row 3: system 2 contains the lifetime 3.0"):
+            read_dataset(io.StringIO("x1,x2\n1,2\n3,3\n2,2\n"))
+
+    def test_cell_errors_come_before_ties(self):
+        with pytest.raises(DataFileError, match="row 3, column 1"):
+            read_dataset(io.StringIO("x1,x2\n1,1\nnan,2\n"))
+
+    def test_quoted_newline_row_starts_on_its_first_line(self):
+        with pytest.raises(DataFileError) as err:
+            read_dataset(io.StringIO('t1,t2\n1,2\n"1\n2",3\n'))
+        assert str(err.value) == "row 3, column 1: '1\\n2' is not a number"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_in_third_chunk(self, monkeypatch, newline):
+        # Chunks hold file lines 2-3, 4-5 and 6-7: the bad cell is in the third.
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", len("1,2" + newline))
+        lines = ["t1,t2", "1,2", "", "1,2", "1,2", "1,2", "1,-2", "1,2"]
+        stream = io.TextIOWrapper(
+            io.BytesIO(newline.join(lines).encode()), encoding="utf-8", newline=""
+        )
+        with pytest.raises(NonPositiveLifetime) as err:
+            read_dataset(stream)
+        assert (err.value.row, err.value.col) == (7, 2)
+        assert str(err.value) == "row 7, column 2: value must be > 0 (got -2)"
+
+    def test_tie_in_third_chunk(self, monkeypatch):
+        # Chunks hold file lines 2-3, 4-5 and 6-7: the tie is in the third.
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 4)
+        text = "x1,x2\n1,2\n\n1,2\n1,2\n1,2\n2,2\n1,2\n"
+        with pytest.raises(DuplicateLifetime) as err:
+            read_dataset(io.StringIO(text))
+        assert err.value.row == 7
+        assert str(err.value) == (
+            "row 7: system 5 contains the lifetime 2.0 twice; tied failures give a zero spacing"
+        )
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("letter", ["t", "x"])
+    def test_plain_numbers_never_reach_the_per_cell_parser(self, monkeypatch, letter, newline):
+        def per_cell(*args):
+            raise AssertionError("the per-cell parser ran")
+
+        monkeypatch.setattr(loadshare.io, "_parse_rows", per_cell)
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 1 << 16)  # several chunks
+        values = np.random.default_rng(7).exponential(size=(10_000, 4))
+        text = newline.join(
+            [",".join(f"{letter}{j}" for j in range(1, 5))]
+            + [",".join("%.17g" % v for v in row) for row in values]
+        ) + newline
+        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+        got = read_dataset(stream)
+        expected = values if letter == "t" else np.diff(np.sort(values, axis=1), prepend=0.0)
+        assert got.data.tobytes() == expected.tobytes()
 
 
 class TestParamsFile:

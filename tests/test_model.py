@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,19 @@ class TestScore:
             fit = closed_form_mle(spec, data)
             g = score(spec, fit.params_hat, data)
             assert np.max(np.abs(g)) <= 1e-8 * data.n * data.k
+
+    def test_zero_at_mle_when_exposure_sum_overflows(self):
+        # S_1 and S_2 are finite but S . (1, lambda) is not; theta * S_j is about 1.
+        spec, data = ModelSpec.kim_kvam(2), SpacingsMatrix([[5e307, 1e308]])
+        params = closed_form_mle(spec, data).params_hat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = score(spec, params, data)
+        assert np.all(np.isfinite(g))
+        # g_0 = (n k - theta S . lambda) / theta and g_1 = (n - lambda_1 theta S_2) / lambda_1:
+        # scaled back, each is a difference of terms of size n k or n.
+        assert abs(g[0] * params.theta) <= 1e-12 * data.n * data.k
+        assert abs(g[1] * params.lambdas[0]) <= 1e-12 * data.n
 
     def test_ssk_matches_kim_kvam_before_switch(self):
         # constant-phase multiplier components of the gradient are the same

@@ -13,12 +13,14 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+import loadshare.io
 from loadshare.cli import main
 
 magnitudes = st.floats(math.log10(1e-320), 308.0).map(lambda e: 10.0**e)
@@ -154,3 +156,62 @@ def test_dataset_files_exit_0_1_or_3(case, command, fmt):
     assert not caught, [str(w.message) for w in caught]
     if bad is not None:
         assert code == 1 and f"row {bad[0]}, column {bad[1]}" in err, err
+
+
+# Cells for the reader differential: plain numbers, values that tie, text that
+# float() reads but numpy's C reader may not (or the reverse), and bad cells.
+_READER_CELLS = st.one_of(
+    *[st.floats(1e-3, 1e3).map(repr)] * 3,
+    st.floats(1e-300, 1e300).map(lambda v: "%.17g" % v),
+    st.sampled_from(["1", "2", "3", "1e5", "+2.", ".5", "5e-324", "1e308"]),
+    st.sampled_from([
+        " 2 ", "\t4", "4\x0c", "\xa03\xa0", "\u20034", "1_0", "١٢", '"2.5"', '" 7"',
+        "\x1c2", "2\x1f",
+    ]),
+    st.sampled_from([
+        "nan", "inf", "-inf", "infinity", "1e400", "-0", "0", "-1", "x", "", '""',
+        '"1,5"', '"1\n2"', '"3\r\n"', "\x00", "5\x00", "0x1p3", "1 2",
+    ]),
+)
+
+
+@st.composite
+def reader_files(draw):
+    """(file text, assume_lifetimes) for the reader differential."""
+    k = draw(st.integers(1, 4))
+    header = draw(st.sampled_from(["t", "x", "none"]))
+    lines = [] if header == "none" else [",".join(f"{header}{j}" for j in range(1, k + 1))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:  # a blank or whitespace-only line
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+        else:  # a row, ragged one time in nine
+            width = k + (draw(st.sampled_from([-1, 1])) if kind == 1 and k > 1 else 0)
+            lines.append(",".join(draw(_READER_CELLS) for _ in range(width)))
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, header == "none"
+
+
+def _read_outcome(text, assume_lifetimes):
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline="")
+    try:
+        data = loadshare.io.read_dataset(stream, assume_lifetimes=assume_lifetimes).data
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return data.shape, [v.hex() for v in data.ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reader_files(), chunk_chars=st.integers(1, 40))
+def test_chunked_reader_matches_per_cell_parser(case, chunk_chars):
+    # The per-cell parser over the whole file, rows numbered by file line, is
+    # the reference; the chunked reader must give the same array bits or the
+    # same error, wherever the chunk boundaries fall.
+    with mock.patch.object(loadshare.io, "_fast_block", lambda *args: None):
+        expected = _read_outcome(*case)
+    with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
+        got = _read_outcome(*case)
+    assert got == expected
