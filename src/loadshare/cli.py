@@ -141,7 +141,11 @@ def cmd_simulate(args) -> int:
     if args.out is None or args.out == "-":
         write_dataset(data, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file: {exc}") from None
+        with handle:
             write_dataset(data, handle)
     print(f"n={data.n} k={data.k} seed={args.seed}", file=sys.stderr)
     return EXIT_OK

@@ -9,6 +9,21 @@ of plain unquoted numbers, finite and > 0, k to a line, with no tied
 lifetimes; any other chunk and the rest of the file go to a per-cell
 ``float()`` parser, which alone words errors. An error's "row" is the
 1-based file line its record starts on, header and blank lines counted.
+On that path each cell is checked once, and the file is copied once, to join its chunks.
+
+Datasets are written with each value as ``"%.17g"`` spells it, which parses
+back to the same float64. A numpy kernel spells a block of values at a time
+where that format uses fixed notation, [1e-4, 1e17). It is exact, not
+approximate: with p = 16 - floor(log10 x), 10**p is an exact double, and
+Dekker's error-free product gives x * 10**p as a + err with no rounding, so
+the integer part N and the fraction are exact. N in [10**16, 10**17) proves
+the decimal exponent, and a fraction other than exactly 1/2 fixes the
+rounding of the 17th digit. Every value the kernel does not certify this way
+(exponent notation, exact ties, a misjudged exponent next to a power of ten,
+and nan, infinities, zeros and negatives in an ndarray) is spelled by
+:func:`format_float`, so the bytes are ``"%.17g"``'s whichever path a value
+takes.
+
 Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 ``k`` and, for the ssk model only, ``s``; unknown keys are rejected.
 """
@@ -36,9 +51,14 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^([tx])(\d+)$")
-# Rows formatted per write: large enough to amortise the call, small enough
-# that the block's text stays a few hundred kB.
+# Rows formatted per write: large enough to amortise the numpy calls, small enough
+# that the block's 32-byte text rows stay a few hundred kB.
 _WRITE_BLOCK_ROWS = 4096
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64 (see _halves)
+_WORD = np.dtype("<u8")  # 8 text bytes, the first in the low byte
+_ZEROS = 0x3030303030303030  # the word b"00000000"
+_DOTS = 0x2E2E2E2E2E2E2E2E  # the word b"........"
+_ONES = 0x0101010101010101  # 8 bytes of numpy True
 _CHUNK_CHARS = 1 << 20  # characters of data lines per chunk for numpy's C reader
 
 
@@ -68,16 +88,112 @@ def json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``hi + lo == v`` exactly, each with at most 26 significant bits."""
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each ``v < 10**8`` as byte values 0-9 of a word, first digit in
+    the low byte: the halves, quarters and eighths are split lane by lane, dividing by 100 and
+    10 as multiplications and shifts that are exact for lanes below 10**4 and 100."""
+    q = v // 10000
+    x = q | (v - q * 10000) << 32
+    q = (x * 10486) >> 20 & 0x0000007F0000007F
+    x = q | (x - q * 100) << 16
+    q = (x * 103) >> 10 & 0x000F000F000F000F
+    return q | (x - q * 10) << 8
+
+
+def _fixed_rows(x: np.ndarray, prefix: np.ndarray):
+    """Text rows of the values ``x`` that ``"%.17g"`` prints in fixed notation.
+
+    Returns ``(text, keep, ok)``: 32-byte rows as 4 words each, the 0/1 bytes of each row
+    that belong to the value's text, and which values are certified (see :func:`write_dataset`);
+    the rows of the others hold nothing of use. Byte 31 of every row is left for a separator.
+    ``prefix[j]`` is the row mask of bytes 0..j-1.
+    """
+    fixed = (x >= 1e-4) & (x < 1e17)
+    xs = np.where(fixed, x, 1.0)
+    p = np.clip(16.0 - np.floor(np.log10(xs)), 0.0, 20.0).astype(np.intp)
+    scale = np.array([float(10**j) for j in range(21)]).take(p)  # 10**p, exact below 10**23
+    # Dekker's product: a + err == xs * scale exactly, a the rounded product.
+    a = xs * scale
+    (xh, xl), (sh, sl) = _halves(xs), _halves(scale)
+    err = xl * sl - (((a - xh * sh) - xl * sh) - xh * sl)
+    low = np.floor(err)
+    frac = err - low
+    integral = a >= 1e16  # above 2**53, so a is an integer
+    n = np.where(integral, a, 0.0).astype(np.int64) + low.astype(np.int64)
+    digits = n + (frac > 0.5)
+    ok = fixed & integral & (n >= 10**16) & (digits < 10**17) & (frac != 0.5)
+    digits[~ok] = 10**16
+    e = np.where(ok, 16 - p, 0)
+    # Row bytes 0-23: "0000000" and the 17 digits; the point goes before byte s.
+    digits = digits.astype(np.uint64)
+    head = digits // 10**8
+    mid, tail = _digits8(head % 10**8), _digits8(digits - head * 10**8)
+    text = np.stack([_ZEROS + (head // 10**8 << 56), mid + _ZEROS, tail + _ZEROS,
+                     np.zeros_like(mid)], axis=1, dtype=_WORD)
+    # Row byte of the last nonzero digit, from the highest set bit of its word.
+    last = np.where(tail != 0, 16 + (np.frexp(tail.astype(float))[1] - 1) // 8,
+                    np.where(mid != 0, 8 + (np.frexp(mid.astype(float))[1] - 1) // 8, 7))
+    s = e + 8
+    shifted = text.ravel() << 8  # row byte j moves to j + 1
+    shifted[1:] |= text.ravel()[:-1] >> 56
+    before, upto = prefix.take(s, axis=0), prefix.take(s + 1, axis=0)
+    text &= before
+    text |= shifted.reshape(text.shape) & ~upto
+    text |= (upto ^ before) & _DOTS
+    # Keep from the integer part's first digit; up to the last nonzero digit, or the point.
+    end = np.where(last >= s, last + 2, s)
+    keep = prefix.take(end, axis=0) & ~prefix.take(7 + np.minimum(e, 0), axis=0) & _ONES
+    return text, keep.astype(_WORD, copy=False), ok
+
+
 def write_dataset(spacings, stream: IO[str]) -> None:
-    """Write spacings as CSV with a t1..tk header and lossless numbers."""
-    data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings)
+    """Write spacings as CSV with a t1..tk header and lossless numbers.
+
+    Every value is written as ``"%.17g"`` writes it (see :func:`format_float`), a block of
+    rows at a time. ``"%.17g"`` prints x in fixed notation exactly when its decimal exponent
+    E, after rounding to 17 significant digits, is in [-4, 16]. For x in [1e-4, 1e17) the
+    block kernel takes p = 16 - floor(log10 x), clipped to [0, 20], so 10**p is an exact
+    double. Veltkamp's split cuts x and 10**p into halves of at most 26 bits, whose four
+    products are exact, and Dekker's sums recover the rounding error of a = fl(x * 10**p):
+    a + err == x * 10**p exactly (round to nearest, and nothing overflows or underflows in
+    this range). a is an integer once it is at least 1e16 > 2**53, so N = a + floor(err) is
+    the exact floor of x * 10**p. x >= 1e-4 and p <= 20 make err a multiple of 2**-46, so
+    its fraction err - floor(err) is a double and exact as well. A value is certified when
+    10**16 <= N, the fraction is not exactly 1/2, and D = N + (fraction > 1/2) < 10**17;
+    then E = 16 - p and D is the 17 digits. (D reaches 10**17 only for x within 5e-18 below
+    a power of ten, where no double lies in this range; such a value would fall back.)
+    Values not certified take ``format_float`` one by one: exponent notation, exact ties
+    (where ``"%.17g"`` rounds half to even), a floor(log10 x) off by one next to a power of
+    ten, and, in an ndarray, nan, infinities, zeros and negatives. The bytes are the same
+    either way.
+    """
+    data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings, float)
     k = data.shape[1]
     stream.write(",".join(f"t{j + 1}" for j in range(k)) + "\n")
-    # One %-format per block of rows; "%.17g" spells each value as format_float does.
-    line = ",".join(["%.17g"] * k) + "\n"
+    # prefix[j]: a 32-byte row whose bytes 0..j-1 are 0xFF, as 4 words.
+    windows = np.lib.stride_tricks.sliding_window_view(np.repeat(np.uint8([255, 0]), 32), 32)
+    prefix = windows[::-1].copy().view(_WORD)
+    seps = np.resize(np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64),
+                     min(len(data), _WRITE_BLOCK_ROWS) * k) << 56
     for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-        block = data[start : start + _WRITE_BLOCK_ROWS]
-        stream.write(line * len(block) % tuple(block.ravel().tolist()))
+        values = data[start : start + _WRITE_BLOCK_ROWS].ravel()
+        text, keep, ok = _fixed_rows(values, prefix)
+        text[:, 3] |= seps[: len(values)]
+        keep[:, 3] |= 1 << 56
+        chars, kept = text.view(np.uint8), keep.view(bool)
+        slow = np.flatnonzero(~ok)
+        if slow.size:
+            spelled = np.array([format_float(v) for v in values[slow].tolist()], dtype="S31")
+            chars[slow, :31] = spelled.view(np.uint8).reshape(-1, 31)
+            kept[slow, :31] = chars[slow, :31] != 0
+        stream.write(chars[kept].tobytes().decode("ascii"))
 
 
 def _parse_header(cells: list[str]) -> str | None:
@@ -171,7 +287,8 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
         lines, line = [], line + len(lines)
     if not blocks:
         raise DataFileError("dataset contains a header but no data rows")
-    return SpacingsMatrix(np.concatenate(blocks))
+    # Every block holds spacings that SpacingsMatrix or spacings_from_lifetimes checked.
+    return SpacingsMatrix._adopt(np.concatenate(blocks))
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

@@ -170,7 +170,18 @@ class SpacingsMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = _positive_matrix(data, "spacing")
+        self._hold(_positive_matrix(data, "spacing"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> SpacingsMatrix:
+        """The matrix of ``arr`` itself, with no copy and no second look at its cells: for
+        callers that checked every cell of the 2-D float64 ``arr`` (finite and > 0) and give
+        the array up."""
+        self = cls.__new__(cls)
+        self._hold(arr)
+        return self
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"spacings matrix must be non-empty, got shape {arr.shape}")
         arr.flags.writeable = False
@@ -324,18 +335,19 @@ def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:
     a zero spacing would make the load-share estimates undefined, and
     breaking ties is a caller policy, not something done silently here.
     """
-    arr = _positive_matrix(lifetimes, "lifetime")
-    ordered = np.sort(arr, axis=1)
-    tied = ordered[:, 1:] == ordered[:, :-1]
+    arr = _positive_matrix(lifetimes, "lifetime")  # a copy, sorted and differenced in place
+    arr.sort(axis=1)
+    tied = arr[:, 1:] == arr[:, :-1]
     if tied.any():
         i, j = map(int, np.argwhere(tied)[0])
         raise DuplicateLifetime(
-            f"system {i + 1} contains the lifetime {ordered[i, j]} twice; "
+            f"system {i + 1} contains the lifetime {arr[i, j]} twice; "
             "tied failures give a zero spacing",
             row=i + 1,
         )
-    spacings = np.diff(ordered, axis=1, prepend=0.0)
-    return SpacingsMatrix(spacings)
+    arr[:, 1:] -= arr[:, :-1]  # numpy buffers the overlap, so these are np.diff's values
+    # Differences of sorted, distinct, finite positive floats are finite and > 0.
+    return SpacingsMatrix._adopt(arr)
 
 
 def log_likelihood(spec: ModelSpec, params: Params, t: SpacingsMatrix) -> float:

@@ -55,6 +55,17 @@ class TestSimulate:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("where", ["dir", "missing"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path if where == "dir" else tmp_path / "missing" / "a.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            "simulate", "--model", "kim-kvam", "--k", "2",
+            "--theta", "1", "--lambda", "1", "--n", "2", "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: cannot write output file:") and "Traceback" not in err
+
     def test_lambda_count_mismatch_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -9,8 +9,12 @@ from loadshare import (
     DataFileError,
     DuplicateLifetime,
     ModelKind,
+    ModelSpec,
     NonPositiveLifetime,
+    Params,
+    RngState,
     SpacingsMatrix,
+    sample_dataset,
 )
 from loadshare.io import (
     _WRITE_BLOCK_ROWS,
@@ -27,6 +31,14 @@ def roundtrip(matrix: SpacingsMatrix, **kwargs) -> SpacingsMatrix:
     write_dataset(matrix, buf)
     buf.seek(0)
     return read_dataset(buf, **kwargs)
+
+
+def per_value_csv(data: np.ndarray) -> str:
+    """The CSV text write_dataset must produce: format_float of each value."""
+    return "".join(
+        [",".join(f"t{j + 1}" for j in range(data.shape[1])) + "\n"]
+        + [",".join(format_float(v) for v in row) + "\n" for row in data]
+    )
 
 
 class TestFormatting:
@@ -69,14 +81,40 @@ class TestDatasetRoundTrip:
                     1.7976931348623157e308, 9.999999999999999e307, 1 / 3]
         values.flat[: len(extremes)] = extremes[: values.size]
         matrix = SpacingsMatrix(values)
-        expected = "".join(
-            [",".join(f"t{j + 1}" for j in range(k)) + "\n"]
-            + [",".join(format_float(v) for v in row) + "\n" for row in matrix.data]
-        )
+        expected = per_value_csv(matrix.data)
         for source in (matrix, matrix.data):
             buf = io.StringIO()
             write_dataset(source, buf)
             assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("rows", [_WRITE_BLOCK_ROWS - 1, 2 * _WRITE_BLOCK_ROWS + 7])
+    def test_blocked_writer_matches_per_value_formatting_in_fixed_range(self, rows):
+        # Bit patterns dense in [1e-4, 1e17], which "%.17g" prints in fixed
+        # notation: the block kernel, not format_float, spells most of them.
+        lo, hi = np.array([1e-4, 1e17]).view(np.int64)
+        bits = np.random.default_rng(rows).integers(lo, hi, size=(rows, 5), endpoint=True)
+        matrix = SpacingsMatrix(bits.view(np.float64))
+        expected = per_value_csv(matrix.data)
+        for source in (matrix, matrix.data):
+            buf = io.StringIO()
+            write_dataset(source, buf)
+            assert buf.getvalue() == expected
+
+    def test_few_simulated_values_take_the_per_value_path(self, monkeypatch):
+        # A count, not a clock: the block kernel must spell nearly all simulated values.
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_float(value)
+
+        spec, truth = ModelSpec.ssk(5, 2), Params(1.0, (1.5, 0.8, 2.0, 1.2))
+        matrix = sample_dataset(spec, truth, 20_000, RngState(11))
+        monkeypatch.setattr(loadshare.io, "format_float", counted)
+        buf = io.StringIO()
+        write_dataset(matrix, buf)
+        assert len(calls) < 0.001 * matrix.data.size, len(calls)
+        assert buf.getvalue() == per_value_csv(matrix.data)
 
 
 class TestDatasetParsing:

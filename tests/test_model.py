@@ -239,6 +239,15 @@ class TestSpacingsFromLifetimes:
         m = spacings_from_lifetimes([[1, 2, 4], [5, 1, 2]])
         assert np.array_equal(m.data, [[1, 1, 2], [1, 1, 3]])
 
+    def test_caller_array_untouched_and_result_read_only(self):
+        # The rows are sorted and differenced in place, on the function's own copy.
+        lifetimes = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, 2.5]])
+        before = lifetimes.copy()
+        m = spacings_from_lifetimes(lifetimes)
+        assert np.array_equal(lifetimes, before) and lifetimes.flags.writeable
+        assert not m.data.flags.writeable
+        assert m.data.tobytes() == np.diff(np.sort(before, axis=1), axis=1, prepend=0.0).tobytes()
+
     def test_tie_raises_duplicate(self):
         with pytest.raises(DuplicateLifetime) as err:
             spacings_from_lifetimes([[2, 2, 3]])

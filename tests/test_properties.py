@@ -4,23 +4,30 @@
 [1e-320, 1e308] with exit 0 or 2: no data error, no traceback, no warning.
 ``fit`` and ``verify`` must answer every dataset file with exit 0, 1 or 3,
 with no traceback and no warning, and an error about one cell must name
-that cell's row and column.
+that cell's row and column. Any mix of flags, valid or not, on any of the
+four commands must end in exit 0, 1, 2 or 3, again with no traceback and no
+warning. The dataset writer must spell every value as ``format_float`` does,
+whichever of its two paths the value takes, and the chunked reader must
+agree with the per-cell parser.
 """
 
 import contextlib
 import io
 import math
 import os
+import struct
 import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import loadshare.io
+from loadshare import SpacingsMatrix
 from loadshare.cli import main
 
 magnitudes = st.floats(math.log10(1e-320), 308.0).map(lambda e: 10.0**e)
@@ -215,3 +222,173 @@ def test_chunked_reader_matches_per_cell_parser(case, chunk_chars):
     with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
         got = _read_outcome(*case)
     assert got == expected
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def _ties(draw):
+    """x with 10**E <= x < 10**(E+1) whose x * 10**(16-E) ends in exactly .5."""
+    e = draw(st.integers(-4, 13))
+    j = 17 - e  # x = odd / 2**j
+    odd = 2 * draw(st.integers(math.ceil(10.0**e * 2**j / 2), int(10.0 ** (e + 1) * 2**j / 2) - 1)) + 1
+    return odd / 2**j
+
+
+# Values for the writer differential. "%.17g" prints [1e-4, 1e17) in fixed
+# notation, where the block kernel certifies most values; the rest, and every
+# value it does not certify, take format_float one at a time.
+_POSITIVE_VALUES = st.one_of(
+    st.integers(_bits(1e-4), _bits(1e17)).map(_from_bits),  # dense in the fixed range
+    st.integers(_bits(1e-6), _bits(1e19)).map(_from_bits),  # and just outside it
+    st.tuples(st.integers(-6, 18), st.integers(-2, 2)).map(  # powers of ten +-2 ulp
+        lambda t: _ulps(float(f"1e{t[0]}"), t[1])),
+    _ties(),
+    st.sampled_from([131073 / 131072, 2.0**53, 0.5, 0.125, 1e16 + 2.0, 1e17 - 16.0]),
+    st.integers(2**53 - 64, 2**53 + 64).map(float),
+    st.integers(10**16, 10**17).map(float),
+    st.tuples(st.integers(1, 10**6), st.integers(0, 9)).map(lambda t: float(f"{t[0]}e-{t[1]}")),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+_ANY_VALUES = st.one_of(
+    _POSITIVE_VALUES,
+    st.sampled_from([-0.0, 0.0, -1.5, -1e-5, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    data=st.data(),
+    block_rows=st.integers(1, 5),
+    positive=st.booleans(),
+)
+def test_writer_matches_format_float(k, data, block_rows, positive):
+    values = st.lists(_POSITIVE_VALUES if positive else _ANY_VALUES, min_size=k, max_size=k)
+    rows = data.draw(st.lists(values, min_size=1, max_size=8))
+    expected = "".join(
+        [",".join(f"t{j}" for j in range(1, k + 1)) + "\n"]
+        + [",".join(loadshare.io.format_float(v) for v in row) + "\n" for row in rows]
+    )
+    sources = [np.array(rows)] + ([SpacingsMatrix(rows)] if positive else [])
+    with mock.patch.object(loadshare.io, "_WRITE_BLOCK_ROWS", block_rows):
+        for source in sources:
+            buf = io.StringIO()
+            loadshare.io.write_dataset(source, buf)
+            assert buf.getvalue() == expected
+
+
+# Flag values: mostly valid, and some of every kind of wrong. Names in braces
+# are files the test creates (see cli_files).
+_FLAG_VALUES = {
+    "--model": ["kim-kvam", "ssk", "weibull"],
+    "--s": ["2", "1", "3", "0", "-1", "x"],
+    "--k": ["3", "2", "4", "1", "0", "-2", "x"],
+    "--theta": ["1", "1e-3", "0", "-1", "nan", "inf", "1e308", "x"],
+    "--lambda": ["1,2", "0.5,1,2", "1", "", "0,1", "nan,1", "a", "1,,2"],
+    "--params": ["{params}", "{ssk_params}", "{bad_json}", "{missing}", "{dir}"],
+    "--n": ["3", "2", "1", "0", "-3", "x"],
+    "--reps": ["2", "1", "0", "-1", "x"],
+    "--seed": ["7", "0", "-1", str(2**64), "x"],
+    "--out": ["-", "{out}", "{dir}", "{missing}/out.csv"],
+    "--data": ["{spacings}", "{lifetimes}", "{ties}", "{not_utf8}", "{missing}", "{dir}"],
+    "--format": ["json", "text", "xml"],
+    "--instances": ["1", "2", "0", "-2", "x"],
+}
+_SWITCHES = ["--lifetimes", "--random", "--help", "--bogus"]
+_MODELS = [
+    [["--model", "kim-kvam"]],
+    [["--model", "ssk"], ["--s", "2"]],
+]
+_PARAMETERS = [
+    [["--model", "kim-kvam"], ["--k", "3"], ["--theta", "1"], ["--lambda", "1,2"]],
+    [["--model", "ssk"], ["--s", "2"], ["--k", "4"], ["--theta", "0.5"], ["--lambda", "0.5,1,2"]],
+    [["--params", "{params}"]],
+]
+_DATA = [[["--data", "{spacings}"]], [["--data", "{lifetimes}"], ["--lifetimes"]]]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A valid argv for one command, then up to three mutations: a flag dropped, a value
+    replaced by any value of its flag, a flag of any command added, or the last value cut."""
+    command = draw(st.sampled_from(["simulate", "fit", "verify", "mc-study"]))
+    if command in ("simulate", "mc-study"):
+        pairs = draw(st.sampled_from(_PARAMETERS)) + [["--n", "3"]]
+        optional = [["--seed", "7"]]
+        if command == "simulate":
+            optional.append(["--out", draw(st.sampled_from(_FLAG_VALUES["--out"]))])
+        else:
+            pairs.append(["--reps", "2"])
+            optional.append(["--format", "json"])
+    else:
+        pairs = draw(st.sampled_from(_MODELS))
+        if command == "verify" and draw(st.booleans()):
+            pairs = pairs + [["--random"], ["--instances", "1"]]
+        else:
+            pairs = pairs + draw(st.sampled_from(_DATA))
+        optional = [["--format", "json"] if command == "fit" else ["--seed", "3"]]
+    pairs += [pair for pair in optional if draw(st.booleans())]
+    pairs = [list(pair) for pair in pairs]  # the mutations below edit them
+    cut = False
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(["drop", "value", "add", "cut"]))
+        if action == "drop" and pairs:
+            pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        elif action == "value" and pairs:
+            pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pair[1:] = [draw(st.sampled_from(_FLAG_VALUES.get(pair[0], ["1"])))]
+        elif action == "add":
+            flag = draw(st.sampled_from(sorted(_FLAG_VALUES) + _SWITCHES))
+            pairs.append([flag] + ([draw(st.sampled_from(_FLAG_VALUES[flag]))]
+                                   if flag in _FLAG_VALUES else []))
+        cut = cut or action == "cut"
+    pairs = draw(st.permutations(pairs))
+    if cut and pairs:
+        pairs[-1] = pairs[-1][:1]
+    return [command] + [arg for pair in pairs for arg in pair]
+
+
+_CLI_FILES = {
+    "spacings": "t1,t2,t3\n0.5,1.25,2\n1.5,0.25,3\n2,1,0.75\n",
+    "lifetimes": "x1,x2,x3\n3,1,2\n0.5,4,2.5\n",
+    "ties": "x1,x2,x3\n3,1,3\n",
+    "params": '{"theta": 1, "lambda": [1, 2], "model": "kim-kvam", "k": 3}',
+    "ssk_params": '{"theta": 1, "lambda": [1, 2, 0.5], "model": "ssk", "k": 4, "s": 2}',
+    "bad_json": '{"theta": 1, "lambda": [1, 2], "model": "ssk", "k": 3',
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {"dir": str(root), "missing": str(root / "missing"), "out": str(root / "out.csv")}
+    for name, text in _CLI_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+        paths[name] = str(root / name)
+    (root / "not_utf8").write_bytes(b"t1,t2\n1,2\n\xff,3\n")
+    paths["not_utf8"] = str(root / "not_utf8")
+    return paths
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=cli_argvs())
+def test_flag_combinations_exit_0_to_3(cli_files, argv):
+    code, err, caught = run_main([arg.format(**cli_files) for arg in argv])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
