@@ -52,13 +52,11 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 
 
 def _build_spec(model: str, k: int, s: int | None) -> ModelSpec:
-    if ModelKind(model) is ModelKind.SSK:
-        if s is None:
-            raise _UsageError("--model ssk requires --s")
-        return ModelSpec.ssk(k, s)
-    if s is not None:
-        raise _UsageError("--s is only valid with --model ssk")
-    return ModelSpec.kim_kvam(k)
+    """ModelSpec judges k and s; only a missing --s is worded here, as a flag."""
+    kind = ModelKind(model)
+    if kind is ModelKind.SSK and s is None:
+        raise _UsageError("--model ssk requires --s")
+    return ModelSpec(kind, k, s)
 
 
 def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
@@ -67,10 +65,7 @@ def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
         if args.model or args.k is not None or args.s is not None or args.theta is not None or args.lam is not None:
             raise _UsageError("--params replaces --model/--k/--s/--theta/--lambda")
         try:
-            with open(args.params, encoding="utf-8") as handle:
-                return read_params_file(handle)
-        except OSError as exc:
-            raise _UsageError(f"cannot read parameter file: {exc}") from None
+            return _read_file(args.params, "parameter file", read_params_file)
         except DataFileError as exc:
             raise _UsageError(str(exc)) from None
     missing = [
@@ -89,16 +84,22 @@ def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
     return spec, Params(args.theta, _parse_lambdas(args.lam))
 
 
-def _read_dataset_file(path: str, assume_lifetimes: bool) -> SpacingsMatrix:
+def _read_file(path: str, what: str, read):
+    """The one opener of input files: ``read(handle)`` on UTF-8 text, a BOM dropped. It judges
+    only that ``path`` reads and decodes (else DataFileError); ``read`` judges the text."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            return read_dataset(handle, assume_lifetimes=assume_lifetimes)
+            return read(handle)
     except OSError as exc:
-        raise DataFileError(f"cannot read dataset: {exc}") from None
+        raise DataFileError(f"cannot read {what}: {exc}") from None
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's current chunk, not the file start.
         bad = exc.object[exc.start : exc.end]
-        raise DataFileError(f"dataset is not UTF-8 text ({exc.reason} {bad!r})") from None
+        raise DataFileError(f"{what} is not UTF-8 text ({exc.reason} {bad!r})") from None
+
+
+def _read_dataset_file(path: str, assume_lifetimes: bool) -> SpacingsMatrix:
+    return _read_file(path, "dataset", lambda handle: read_dataset(handle, assume_lifetimes))
 
 
 def _fit_as_json(fit: FitResult) -> str:

@@ -39,7 +39,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import DataFileError, DuplicateLifetime, LoadShareError, NonPositiveLifetime
+from .errors import (DataFileError, DuplicateLifetime, InvalidModel, InvalidParams,
+                     LoadShareError, NonPositiveLifetime)
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, spacings_from_lifetimes
 
 __all__ = [
@@ -274,6 +275,8 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     if mode == "spacings" and assume_lifetimes:
         raise DataFileError("file has a t1..tk spacings header; "
                             "the lifetimes override contradicts it")
+    if k < 2:
+        raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
     convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
     blocks, lines, line = [], *((head, 0) if mode is None else ([], len(head)))
     while lines := lines + stream.readlines(_CHUNK_CHARS):
@@ -295,7 +298,10 @@ _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}
 
 
 def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
-    """Parse a JSON parameter file into a validated (ModelSpec, Params) pair."""
+    """Parse a JSON parameter file into a validated (ModelSpec, Params) pair.
+
+    This judges the JSON; ModelSpec judges k and s (null is none), Params theta and lambda.
+    """
     try:
         obj = json.load(stream)
     except json.JSONDecodeError as exc:
@@ -314,26 +320,16 @@ def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
         raise DataFileError(
             f"model must be 'kim-kvam' or 'ssk', got {obj['model']!r}"
         ) from None
-    k = obj["k"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DataFileError(f"k must be an integer, got {k!r}")
-    if kind is ModelKind.SSK:
-        if "s" not in obj:
-            raise DataFileError("ssk model requires key 's'")
-        s = obj["s"]
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise DataFileError(f"s must be an integer, got {s!r}")
-        spec = ModelSpec.ssk(k, s)
-    else:
-        if "s" in obj:
-            raise DataFileError("key 's' is only valid for the ssk model")
-        spec = ModelSpec.kim_kvam(k)
-    lam = obj["lambda"]
-    if not isinstance(lam, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lam):
-        raise DataFileError("lambda must be an array of numbers")
-    if len(lam) != k - 1:
-        raise DataFileError(f"lambda must hold k-1 = {k - 1} values, got {len(lam)}")
-    theta = obj["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise DataFileError(f"theta must be a number, got {theta!r}")
-    return spec, Params(float(theta), tuple(float(v) for v in lam))
+    try:
+        spec = ModelSpec(kind, obj["k"], obj.get("s"))
+        lam = obj["lambda"]
+        if not isinstance(lam, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lam):
+            raise DataFileError("lambda must be an array of numbers")
+        if len(lam) != spec.k - 1:
+            raise DataFileError(f"lambda must hold k-1 = {spec.k - 1} values, got {len(lam)}")
+        theta = obj["theta"]
+        if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+            raise DataFileError(f"theta must be a number, got {theta!r}")
+        return spec, Params(float(theta), tuple(float(v) for v in lam))
+    except (InvalidModel, InvalidParams) as exc:
+        raise DataFileError(str(exc)) from None

@@ -70,7 +70,8 @@ class ModelSpec:
 
     ``s`` is the failure count after which the ``ssk`` regime switches from
     constant to linearly increasing hazards; it must satisfy 2 <= s <= k-1
-    and must be omitted for ``kim-kvam``.
+    and must be None for ``kim-kvam``. This type is the only judge of k and
+    s, whether they come from flags or from a parameter file.
     """
 
     kind: ModelKind
@@ -87,7 +88,7 @@ class ModelSpec:
                 raise InvalidModel("s is only meaningful for the ssk model")
         elif self.kind is ModelKind.SSK:
             if self.s is None:
-                raise InvalidModel("ssk model requires a switch index s")
+                raise InvalidModel("ssk model requires the switch index 's'")
             if not isinstance(self.s, int) or isinstance(self.s, bool):
                 raise InvalidModel(f"s must be an integer, got {self.s!r}")
             if not 2 <= self.s <= self.k - 1:
@@ -139,6 +140,12 @@ class Params:
         return cls(values[0], tuple(values[1:]))
 
 
+def _first_bad(values: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry of ``values`` (in C order) that is not finite and > 0, or None."""
+    bad = ~(np.isfinite(values) & (values > 0))
+    return tuple(map(int, np.unravel_index(bad.argmax(), bad.shape))) if bad.any() else None
+
+
 def _positive_matrix(data, what: str) -> np.ndarray:
     """Float copy of ``data``, checked to be 2-D with every cell finite and > 0.
 
@@ -147,9 +154,9 @@ def _positive_matrix(data, what: str) -> np.ndarray:
     arr = np.array(data, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{what}s must form a 2-D matrix, got {arr.ndim} dimension(s)")
-    bad = ~(np.isfinite(arr) & (arr > 0))
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    bad = _first_bad(arr)
+    if bad is not None:
+        i, j = bad
         raise NonPositiveLifetime(
             f"{what} at row {i + 1}, column {j + 1} must be finite and > 0 (got {arr[i, j]})",
             row=i + 1,
@@ -313,17 +320,15 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
     """
     if t.k != spec.k:
         raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
-    totals = tuple(_stage_totals(spec, t.data).tolist())
+    totals = _stage_totals(spec, t.data)
+    bad = _first_bad(totals)
+    if bad is not None:
+        raise DataFileError(f"column {bad[0] + 1}: the stage total {totals[bad]:g} is outside "
+                            "the float64 range; rescale the data")
     log_term = 0.0
     if spec.kind is ModelKind.SSK:
         log_term = float(np.log(t.data).sum(axis=0)[spec.s :].sum())
-    for j, v in enumerate(totals, start=1):
-        if not (math.isfinite(v) and v > 0):
-            raise DataFileError(
-                f"column {j}: the stage total {v:g} is outside the float64 range; "
-                "rescale the data"
-            )
-    return SufficientStats(spec, t.n, totals, log_term)
+    return SufficientStats(spec, t.n, tuple(totals.tolist()), log_term)
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:

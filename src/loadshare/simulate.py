@@ -31,6 +31,7 @@ from .model import (
     ModelSpec,
     Params,
     SpacingsMatrix,
+    _first_bad,
     _multipliers,
     _stage_totals,
     _survivors,
@@ -109,18 +110,12 @@ def _out_of_range(params: Params, what: str) -> InvalidParams:
     )
 
 
-def _first_bad_column(values: np.ndarray) -> int | None:
-    """1-based last-axis index of the first entry that is not finite and > 0, else None."""
-    bad = ~(np.isfinite(values) & (values > 0))
-    return int(np.argwhere(bad)[0][-1]) + 1 if bad.any() else None
-
-
 def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         rates = _survivors(spec.k) * _multipliers(spec, params) * params.theta
-    stage = _first_bad_column(rates)
-    if stage is not None:
-        raise _out_of_range(params, f"stage {stage} the rate {rates[stage - 1]:g}")
+    bad = _first_bad(rates)
+    if bad is not None:
+        raise _out_of_range(params, f"stage {bad[0] + 1} the rate {rates[bad]:g}")
     return rates
 
 
@@ -142,9 +137,9 @@ def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple)
     u = rng.uniform_open((*shape, spec.k))
     with np.errstate(all="ignore"):
         t = _spacings_from_uniforms(spec, rates, u)
-    stage = _first_bad_column(t)
-    if stage is not None:
-        raise _out_of_range(params, f"stage {stage} a sampled spacing")
+    bad = _first_bad(t)
+    if bad is not None:
+        raise _out_of_range(params, f"stage {bad[-1] + 1} a sampled spacing")
     return t
 
 
@@ -152,7 +147,8 @@ def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> Sp
     """n independent systems; the same draws as n successive datasets of one system."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidSampleSize(f"sample size n must be a positive integer, got {n!r}")
-    return SpacingsMatrix(_draw_spacings(spec, params, rng, (n,)))
+    # _draw_spacings checked every cell, and the fresh array is no one else's.
+    return SpacingsMatrix._adopt(_draw_spacings(spec, params, rng, (n,)))
 
 
 @dataclass(frozen=True)
@@ -197,16 +193,16 @@ def _block_estimates(
     replication: theta = n / S_1 and lambda_j = S_1 / S_{j+1}.
     """
     totals = _stage_totals(spec, _draw_spacings(spec, truth, stream, (reps, n)))
-    stage = _first_bad_column(totals)
-    if stage is not None:
-        raise _out_of_range(truth, f"stage {stage} an exposure total")
+    bad = _first_bad(totals)
+    if bad is not None:
+        raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")
     estimates = np.empty_like(totals)
     with np.errstate(all="ignore"):
         estimates[:, 0] = n / totals[:, 0]
         estimates[:, 1:] = totals[:, :1] / totals[:, 1:]
-    position = _first_bad_column(estimates)
-    if position is not None:
-        name = "theta" if position == 1 else f"lambda_{position - 1}"
+    bad = _first_bad(estimates)
+    if bad is not None:
+        name = "theta" if bad[-1] == 0 else f"lambda_{bad[-1]}"
         raise _out_of_range(truth, f"the estimate of {name} a value")
     return estimates
 

@@ -92,6 +92,26 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command,extra", [("simulate", []), ("mc-study", ["--reps", "3"])])
+    def test_params_file_bom_is_ignored(self, tmp_path, capsys, command, extra):
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text('{"theta": 1.0, "lambda": [1.0, 2.0], "model": "ssk", "k": 3, "s": 2}')
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        args = [command, "--n", "4", "--seed", "5", *extra, "--params"]
+        code_plain, out_plain, _ = run_cli(capsys, *args, str(plain))
+        code_bom, out_bom, err = run_cli(capsys, *args, str(bom))
+        assert code_plain == code_bom == 0, err
+        assert out_bom == out_plain
+
+    @pytest.mark.parametrize("command,extra", [("simulate", []), ("mc-study", ["--reps", "3"])])
+    def test_params_file_not_utf8_exits_2(self, tmp_path, capsys, command, extra):
+        pfile = tmp_path / "params.json"
+        pfile.write_bytes(b'{"theta": 1, "lambda": [1], "model": "kim-kvam", "k": 2, "x": "\xff"}')
+        code, out, err = run_cli(capsys, command, "--params", str(pfile), "--n", "3", *extra)
+        assert code == 2 and out == ""
+        assert "error: parameter file is not UTF-8 text (invalid start byte b'\\xff')" in err
+        assert "Traceback" not in err
+
     def test_params_file_unknown_key_exits_2(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"
         pfile.write_text('{"theta": 1.0, "lambda": [1.0], "model": "kim-kvam", "k": 2, "x": 0}')
@@ -200,6 +220,22 @@ class TestFit:
         assert code == 1 and out == ""
         assert "error: dataset is not UTF-8 text (invalid start byte b'\\xff')" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    @pytest.mark.parametrize(
+        "content,extra",
+        [("t1\n1\n2\n", []), ("x1\n1\n", []), ("1\n2\n", ["--lifetimes"])],
+        ids=["spacings", "lifetimes", "headerless"],
+    )
+    def test_one_column_exits_1(self, tmp_path, capsys, command, content, extra):
+        # The fault is the file's, not the flags': no model has k = 1.
+        data = tmp_path / "d.csv"
+        data.write_text(content)
+        code, out, err = run_cli(
+            capsys, command, "--model", "kim-kvam", "--data", str(data), *extra
+        )
+        assert code == 1 and out == ""
+        assert "error: dataset has 1 column" in err
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--model", "kim-kvam", "--data", "/no/such.csv")

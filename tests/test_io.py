@@ -316,3 +316,26 @@ class TestParamsFile:
         text = '{"theta": 1, "lambda": [1], "model": "kim-kvam", "k": 2.0}'
         with pytest.raises(DataFileError):
             read_params_file(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"theta": 1, "lambda": [], "model": "kim-kvam", "k": 1}',
+             "k must be at least 2, got 1"),
+            ('{"theta": 1, "lambda": [1, 1], "model": "ssk", "k": 3, "s": 5}',
+             "s must satisfy 2 <= s <= k-1, got s=5 with k=3"),
+            ('{"theta": -1, "lambda": [1], "model": "kim-kvam", "k": 2}',
+             "theta must be finite and > 0, got -1.0"),
+        ],
+        ids=["k-below-two", "s-out-of-range", "negative-theta"],
+    )
+    def test_model_and_parameter_faults_are_file_errors(self, text, message):
+        # ModelSpec and Params judge these; the file reader keeps their text.
+        with pytest.raises(DataFileError) as err:
+            read_params_file(io.StringIO(text))
+        assert str(err.value) == message
+
+    def test_null_s_is_no_s(self):
+        text = '{"theta": 1, "lambda": [1], "model": "kim-kvam", "k": 2, "s": null}'
+        spec, _ = read_params_file(io.StringIO(text))
+        assert spec == ModelSpec.kim_kvam(2)

@@ -3,8 +3,8 @@
 ``simulate`` and ``mc-study`` must answer every theta and lambda in
 [1e-320, 1e308] with exit 0 or 2: no data error, no traceback, no warning.
 ``fit`` and ``verify`` must answer every dataset file with exit 0, 1 or 3,
-with no traceback and no warning, and an error about one cell must name
-that cell's row and column. Any mix of flags, valid or not, on any of the
+with no traceback and no warning; an error about one cell must name that
+cell's row and column, and a one-column file must exit 1. Any mix of flags, valid or not, on any of the
 four commands must end in exit 0, 1, 2 or 3, again with no traceback and no
 warning. The dataset writer must spell every value as ``format_float`` does,
 whichever of its two paths the value takes, and the chunked reader must
@@ -99,8 +99,8 @@ def _first_bad_cell(rows, k, first_row):
 
 @st.composite
 def dataset_files(draw):
-    """(file text, model and mode flags, the cell the error must name or None)."""
-    k = draw(st.integers(2, 4))
+    """(file text, model and mode flags, text the exit-1 error must hold or None)."""
+    k = draw(st.integers(1, 4))
     rows = [[draw(cells) for _ in range(k)] for _ in range(draw(st.integers(1, 4)))]
     header = draw(st.sampled_from(["t", "x", "none", "bad"]))
     # headerless files without the lifetimes flag fail as bad headers do
@@ -130,10 +130,13 @@ def dataset_files(draw):
         bad = None if header == "t" and lifetimes else _first_bad_cell(parsed[1:], k, 2)
     else:
         bad = _first_bad_cell(parsed, k, 1) if lifetimes else None
+    error = None if bad is None else f"row {bad[0]}, column {bad[1]}"
+    if k == 1:  # whatever else is wrong, the file exits 1 (the message depends on the header)
+        error = "error: "
     flags = ["--model", "kim-kvam"]
     if k > 2 and draw(st.booleans()):
         flags = ["--model", "ssk", "--s", str(draw(st.integers(2, k - 1)))]
-    return text, flags + ["--lifetimes"] * lifetimes, bad
+    return text, flags + ["--lifetimes"] * lifetimes, error
 
 
 # Spacings whose totals are finite but whose sum S_1 + S_2 is not.
@@ -149,7 +152,7 @@ _OVERFLOWING_SUM = ("t1,t2\n5e307,1e308\n", ["--model", "kim-kvam"], None)
 @example(case=_OVERFLOWING_SUM, command="fit", fmt="text")
 @example(case=_OVERFLOWING_SUM, command="verify", fmt="text")
 def test_dataset_files_exit_0_1_or_3(case, command, fmt):
-    text, flags, bad = case
+    text, flags, error = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -161,8 +164,8 @@ def test_dataset_files_exit_0_1_or_3(case, command, fmt):
     assert code in (0, 1, 3), err
     assert "Traceback" not in err and "Warning" not in err
     assert not caught, [str(w.message) for w in caught]
-    if bad is not None:
-        assert code == 1 and f"row {bad[0]}, column {bad[1]}" in err, err
+    if error is not None:
+        assert code == 1 and error in err, err
 
 
 # Cells for the reader differential: plain numbers, values that tie, text that
@@ -300,7 +303,8 @@ _FLAG_VALUES = {
     "--k": ["3", "2", "4", "1", "0", "-2", "x"],
     "--theta": ["1", "1e-3", "0", "-1", "nan", "inf", "1e308", "x"],
     "--lambda": ["1,2", "0.5,1,2", "1", "", "0,1", "nan,1", "a", "1,,2"],
-    "--params": ["{params}", "{ssk_params}", "{bad_json}", "{missing}", "{dir}"],
+    "--params": ["{params}", "{ssk_params}", "{bom_params}", "{bad_json}", "{not_utf8}",
+                 "{missing}", "{dir}"],
     "--n": ["3", "2", "1", "0", "-3", "x"],
     "--reps": ["2", "1", "0", "-1", "x"],
     "--seed": ["7", "0", "-1", str(2**64), "x"],
@@ -369,6 +373,7 @@ _CLI_FILES = {
     "ties": "x1,x2,x3\n3,1,3\n",
     "params": '{"theta": 1, "lambda": [1, 2], "model": "kim-kvam", "k": 3}',
     "ssk_params": '{"theta": 1, "lambda": [1, 2, 0.5], "model": "ssk", "k": 4, "s": 2}',
+    "bom_params": '\ufeff{"theta": 1, "lambda": [1, 2], "model": "kim-kvam", "k": 3}',
     "bad_json": '{"theta": 1, "lambda": [1, 2], "model": "ssk", "k": 3',
 }
 
@@ -387,6 +392,7 @@ def cli_files(tmp_path_factory):
 
 @settings(max_examples=120, deadline=None)
 @given(argv=cli_argvs())
+@example(argv=["simulate", "--params", "{not_utf8}", "--n", "3"])
 def test_flag_combinations_exit_0_to_3(cli_files, argv):
     code, err, caught = run_main([arg.format(**cli_files) for arg in argv])
     assert code in (0, 1, 2, 3), err
