@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DataFileError, InvalidParams
-from .model import ModelSpec, Params, SpacingsMatrix, SufficientStats, sufficient_stats
+from .model import ModelSpec, Params, SpacingsMatrix, SufficientStats, _closed_form, sufficient_stats
 
 __all__ = ["FitResult", "closed_form_mle"]
 
@@ -30,10 +30,11 @@ class FitResult:
 
     ``stats`` is the :class:`SufficientStats` of the data under ``model``
     that the fit was computed from, so a fit is auditable without
-    re-touching the raw data. ``diagnostics`` is free-form metadata (the
-    iterative cross-check records its Newton iterations as ``sweeps``, its
-    ``loglik_evals`` and its final Newton ``decrement``; the closed form leaves
-    it empty).
+    re-touching the raw data. ``loglik_at_mle`` comes from
+    :meth:`SufficientStats.log_likelihood` for the closed form, and from its
+    own log-exposure formula for the iterative cross-check, which records its
+    Newton iterations as ``sweeps``, its ``loglik_evals`` and its final Newton
+    ``decrement`` in the free-form ``diagnostics`` (empty for the closed form).
     """
 
     params_hat: Params
@@ -51,9 +52,8 @@ def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
     An estimate that leaves the float64 range is a data error.
     """
     stats = sufficient_stats(spec, t)
-    s1 = stats.totals[0]
     try:
-        params_hat = Params(stats.n / s1, tuple(s1 / s for s in stats.totals[1:]))
+        params_hat = Params.from_array(_closed_form(stats.n, stats.totals))
     except InvalidParams as exc:
         raise DataFileError(f"estimate outside the float64 range ({exc}); rescale the data") from None
     return FitResult(

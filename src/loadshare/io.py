@@ -302,10 +302,13 @@ def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
 
     This judges the JSON; ModelSpec judges k and s (null is none), Params theta and lambda.
     """
+    text = stream.read()  # outside the try: the opener words a decoding fault
     try:
-        obj = json.load(stream)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFileError(f"parameter file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise DataFileError(f"parameter file has an unreadable number: {exc}") from None
     if not isinstance(obj, dict):
         raise DataFileError("parameter file must be a JSON object")
     unknown = set(obj) - _PARAMS_KEYS
@@ -333,3 +336,5 @@ def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
         return spec, Params(float(theta), tuple(float(v) for v in lam))
     except (InvalidModel, InvalidParams) as exc:
         raise DataFileError(str(exc)) from None
+    except OverflowError:  # an integer too large for float64
+        raise DataFileError("theta and lambda must lie within the float64 range") from None

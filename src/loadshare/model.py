@@ -221,16 +221,12 @@ def _survivors(k: int) -> np.ndarray:
     return np.arange(k, 0, -1, dtype=float)
 
 
-def _check_lambdas(spec: ModelSpec, params: Params) -> None:
+def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
+    """Per-stage hazard multipliers (1, lambda_1, ..., lambda_{k-1})."""
     if len(params.lambdas) != spec.k - 1:
         raise DimensionMismatch(
             f"model with k={spec.k} needs {spec.k - 1} multipliers, got {len(params.lambdas)}"
         )
-
-
-def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
-    """Per-stage hazard multipliers (1, lambda_1, ..., lambda_{k-1})."""
-    _check_lambdas(spec, params)
     return np.array((1.0, *params.lambdas))
 
 
@@ -252,27 +248,17 @@ class SufficientStats:
 
     def log_likelihood(self, params: Params) -> float:
         """Exact log-likelihood; see :func:`log_likelihood`."""
-        _check_lambdas(self.spec, params)
+        lam_full, theta = _multipliers(self.spec, params), params.theta
         with np.errstate(over="ignore"):
-            return self._log_likelihood(params.theta, params.lambdas)
-
-    def _log_likelihood(self, theta: float, lambdas: Sequence[float]) -> float:
-        """Log-likelihood at plain floats theta > 0 and k-1 lambdas > 0, unchecked.
-
-        The value-only path for callers that evaluate it many times; it keeps
-        no state, so calls may overlap. Where S . (1, lambda...) can overflow,
-        call it under ``np.errstate(over="ignore")`` as :meth:`log_likelihood` does.
-        """
-        lam_full = (1.0, *lambdas)
-        exposure = theta * float(np.dot(self.totals, lam_full))
-        if math.isinf(exposure):  # S . lambda overflowed; theta * S may not
-            exposure = float(np.dot([theta * s for s in self.totals], lam_full))
-        # fsum keeps the accumulation error at one rounding of the total, which
-        # matters to value-only consumers resolving tiny likelihood differences.
+            exposure = theta * float(np.dot(self.totals, lam_full))
+            if math.isinf(exposure):  # S . lambda overflowed; theta * S may not
+                exposure = float(np.dot([theta * s for s in self.totals], lam_full))
+        # fsum keeps the accumulation error at one rounding of the total, so that
+        # verify's loglik gap measures the estimates, not the summation order.
         return math.fsum([
             self.n * _log_factorial(self.spec.k),
             self.n * self.spec.k * math.log(theta),
-            self.n * math.fsum(map(math.log, lambdas)),
+            self.n * math.fsum(map(math.log, params.lambdas)),
             -exposure,
             self.log_term,
         ])
@@ -306,6 +292,13 @@ def _stage_totals(spec: ModelSpec, d: np.ndarray) -> np.ndarray:
             accelerating = 0.5 * w * (d * d).sum(axis=-2)
             totals = np.concatenate((totals[..., : spec.s], accelerating[..., spec.s :]), axis=-1)
     return totals
+
+
+def _closed_form(n: int, totals) -> np.ndarray:
+    """theta = n / S_1 and lambda_j = S_1 / S_{j+1} along the last axis of (..., k) totals."""
+    s = np.asarray(totals)
+    with np.errstate(all="ignore"):  # callers judge an estimate outside float64
+        return np.concatenate((n / s[..., :1], s[..., :1] / s[..., 1:]), axis=-1)
 
 
 def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:

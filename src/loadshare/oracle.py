@@ -2,19 +2,23 @@
 
 This module re-derives the maximum likelihood estimates the slow way, the
 way one would without the closed forms: a damped Newton ascent in log space
-u = log(theta, lambda_1, ...) (so positivity is structural, never clamped)
-driven by nothing but log-likelihood values of the data's sufficient
-statistic. Each iteration takes central-difference estimates of the gradient
-g and Hessian H, solves -H d = g by Cholesky, and steps along d with t = 1,
-doubled while the value improves or halved until it does. The search shares
-no code path with the analytic score or the closed-form ratios, so agreement
-between the two routes is meaningful evidence, not circularity.
+u = log(theta, lambda_1, ...) driven by nothing but values of its own formula
+f(u) = c + nk u_0 + n sum_{j>=1} u_j - sum_j exp(u_0 + u_{j-1} + log S_j)
+(u_{j-1} read as 0 at j = 1). Each exposure theta lambda_{j-1} S_j is formed
+from its logarithm, so f is finite at every float64 scale of the data and
+-inf only where an exposure overflows. The ascent starts at lambda = 1,
+theta = 1 / max_j S_j. Each iteration takes central-difference estimates of
+the gradient g and Hessian H, solves -H d = g by Cholesky, and backtracks,
+halving t from 1 until f(u + t d) > f(u). Where an exposure underflows -H is
+singular; d is then g over the floored diagonal of -H, so flat coordinates
+still cross many log-units per step. The search shares no code path with the
+likelihood, the score or the closed-form ratios, so agreement between the
+two routes is meaningful evidence, not circularity.
 
-In u the log-likelihood is c + nk u_0 + n sum_j u_j - sum_j S_j exp(a_j . u)
-with linearly independent a_j, so it is strictly concave with one maximum.
-The ascent stops on a certificate of it: the Newton decrement g'(-H)^-1 g
-falls to the resolution of the value (Boyd & Vandenberghe 2004, 9.5). One
-final undamped Newton step follows.
+f is strictly concave (the exponents are linearly independent in u), so it
+has one maximum. The ascent stops on a certificate of it: the Newton
+decrement g'(-H)^-1 g falls to the resolution of the value (Boyd &
+Vandenberghe 2004, 9.5). One final undamped Newton step follows.
 """
 
 from __future__ import annotations
@@ -49,15 +53,17 @@ _MAX_ITERS = 100
 
 
 def _objective(stats: SufficientStats):
-    """The log-likelihood at u = log(theta, lambda...); -inf if exp(u) leaves float64."""
-    evaluate = stats._log_likelihood
+    """The module's f: the log-likelihood at u = log(theta, lambda...), -inf past float64."""
+    n, k, log_totals = stats.n, stats.spec.k, [math.log(s) for s in stats.totals]
+    const = (n * math.lgamma(k + 1), stats.log_term)
 
     def objective(u: np.ndarray) -> float:
-        values = np.exp(u).tolist()
-        for v in values:
-            if not (math.isfinite(v) and v > 0.0):
-                return -math.inf
-        return evaluate(values[0], values[1:])
+        u0, *v = u.tolist()  # log theta, then the log lambdas
+        try:
+            return math.fsum([*const, n * k * u0, n * math.fsum(v), *(
+                -math.exp(u0 + l + ls) for l, ls in zip((0.0, *v), log_totals))])
+        except OverflowError:
+            return -math.inf
 
     return objective
 
@@ -78,27 +84,25 @@ def _derivatives(f, u: np.ndarray, f_u: float) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def _expand_or_halve(f, u: np.ndarray, f_u: float, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """Step to u + t d with t = 1, doubled while f improves, else halved until it does."""
-    t, f_new = 1.0, f(u + d)
-    if f_new > f_u:
-        while (f_next := f(u + 2.0 * t * d)) > f_new:
-            t, f_new = 2.0 * t, f_next
-    while not f_new > f_u:
+def _backtrack(f, u: np.ndarray, f_u: float, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """Step to u + t d with the first t in 1, 1/2, 1/4, ... that raises f."""
+    t = 1.0
+    while not (f_new := f(u + t * d)) > f_u:
         t *= 0.5
         if t == 0.0:
             raise NoConvergence("no step along the ascent direction raises the log-likelihood")
-        f_new = f(u + t * d)
     return u + t * d, f_new
 
 
 def numeric_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
     """Maximize the log-likelihood using function values only.
 
-    Starts from all parameters equal to 1 (the known stage-1 multiplier) with
-    no data-dependent warm start, so the check stays adversarial. Raises
-    :class:`NoConvergence` if the iteration cap is hit, or no step improves
-    the value, before the Newton decrement certifies the maximum.
+    Starts at lambda = 1 and theta = 1 / max_j S_j, where every exposure is at
+    most 1: the start knows the data's scale but not the closed form, and only
+    the certificate vouches for the result. Steps backtrack along the Newton
+    direction, or along the diagonally scaled gradient where Cholesky rejects
+    -H. Raises :class:`NoConvergence` if the iteration cap is hit, or no step
+    improves the value, before the Newton decrement certifies the maximum.
     """
     stats = sufficient_stats(spec, t)
     objective = _objective(stats)
@@ -109,10 +113,10 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
         evals += 1
         return objective(u)
 
-    u = np.zeros(spec.k)  # log space; exp(0) = 1 everywhere
-    # Probes far out in log space overflow or underflow exp(u), and differences
-    # of their -inf values are nan, which Cholesky rejects: numpy need not warn.
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    u = np.array([-math.log(max(stats.totals)), *[0.0] * (spec.k - 1)])
+    # A probe whose exposure overflows scores -inf, and differences of -inf
+    # are nan, which Cholesky rejects: numpy need not warn.
+    with np.errstate(invalid="ignore"):
         f_u = f(u)
         for iteration in range(1, _MAX_ITERS + 1):
             grad, hess = _derivatives(f, u, f_u)
@@ -120,13 +124,15 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
                 chol = np.linalg.cholesky(-hess)
                 z = np.linalg.solve(chol, grad)  # decrement = |L^-1 g|^2
                 direction, decrement = np.linalg.solve(chol.T, z), float(z @ z)
-            except np.linalg.LinAlgError:  # far from the maximum -H can be noise
-                direction, decrement = grad, math.inf  # climb g, certify nothing
+            except np.linalg.LinAlgError:  # -H is singular where an exposure underflows
+                curvature = -np.diag(hess)  # climb g per unit curvature, certify nothing
+                floor = 1e-6 * max(1.0, float(np.max(curvature)))
+                direction, decrement = grad / np.maximum(curvature, floor), math.inf
             if decrement <= _DECREMENT_TOL * max(1.0, abs(f_u)):
                 u = u + direction
                 f_u = f(u)
                 break
-            u, f_u = _expand_or_halve(f, u, f_u, direction)
+            u, f_u = _backtrack(f, u, f_u, direction)
         else:
             raise NoConvergence(
                 f"no certificate after {_MAX_ITERS} Newton iterations (decrement {decrement:.3e})"

@@ -21,7 +21,6 @@ results depend on the seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .model import (
     ModelSpec,
     Params,
     SpacingsMatrix,
+    _closed_form,
     _first_bad,
     _multipliers,
     _stage_totals,
@@ -187,19 +187,12 @@ _BLOCK_UNIFORMS = 2**14
 def _block_estimates(
     spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState
 ) -> np.ndarray:
-    """(reps, k) closed-form estimates of ``reps`` replications drawn from ``stream``.
-
-    The ratios of :func:`loadshare.estimate.closed_form_mle`, one row per
-    replication: theta = n / S_1 and lambda_j = S_1 / S_{j+1}.
-    """
+    """(reps, k) closed-form estimates, one row per replication drawn from ``stream``."""
     totals = _stage_totals(spec, _draw_spacings(spec, truth, stream, (reps, n)))
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")
-    estimates = np.empty_like(totals)
-    with np.errstate(all="ignore"):
-        estimates[:, 0] = n / totals[:, 0]
-        estimates[:, 1:] = totals[:, :1] / totals[:, 1:]
+    estimates = _closed_form(n, totals)
     bad = _first_bad(estimates)
     if bad is not None:
         name = "theta" if bad[-1] == 0 else f"lambda_{bad[-1]}"

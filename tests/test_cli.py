@@ -299,6 +299,36 @@ class TestVerify:
         assert "Warning" not in err and "Traceback" not in err
         assert f"  closed:  {closed}\n" in out
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "2.78137e-309,5.56274e-309",  # theta_hat = 1.797675e308, near float max
+            "5e307,1e308",  # S_1 + S_2 overflows though theta * S_j does not
+        ],
+        ids=["theta-near-max", "exposure-sum-overflows"],
+    )
+    def test_extreme_kim_kvam_files_certify(self, tmp_path, capsys, rows):
+        data = tmp_path / "d.csv"
+        data.write_text(f"t1,t2\n{rows}\n")
+        code, out, err = run_cli(capsys, "verify", "--model", "kim-kvam", "--data", str(data))
+        assert code == 0, out
+        assert "verified 1/1" in out and err == ""
+
+    def test_ssk_file_scaled_by_1e_120_certifies(self, tmp_path, capsys):
+        # Lambda_2 and lambda_3 come out near 1e120: far from the start lambda = 1.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--model", "ssk", "--k", "4", "--s", "2",
+            "--theta", "1", "--lambda", "1,1,1", "--n", "20", "--seed", "1",
+        )
+        assert code == 0
+        rows = np.loadtxt(out.splitlines()[1:], delimiter=",") * 1e-120
+        data = tmp_path / "d.csv"
+        np.savetxt(data, rows, fmt="%.17g", delimiter=",", header="t1,t2,t3,t4", comments="")
+        code, out, err = run_cli(capsys, "verify", "--model", "ssk", "--s", "2", "--data", str(data))
+        assert code == 0, out
+        assert "verified 1/1" in out and err == ""
+
     @pytest.mark.parametrize("model", ["kim-kvam", "ssk"])
     def test_random_instances(self, capsys, model):
         code, out, _ = run_cli(

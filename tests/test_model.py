@@ -173,7 +173,7 @@ class TestSufficientStats:
         assert stats.totals == totals and stats.n == 1
 
     @pytest.mark.parametrize("kind", [ModelKind.KIM_KVAM, ModelKind.SSK])
-    def test_value_path_is_bitwise_log_likelihood(self, kind):
+    def test_log_likelihood_is_bitwise_reference_formula(self, kind):
         def reference(stats, params):
             n, k = stats.n, stats.spec.k
             lam_full = np.array((1.0, *params.lambdas))
@@ -193,26 +193,22 @@ class TestSufficientStats:
             points = [
                 Params.from_array(np.exp(rng.uniform_open(k) * 20 - 10)) for _ in range(5)
             ]
-            # Interleaving the two paths shows neither carries state from call to call.
-            fast = [stats._log_likelihood(p.theta, list(p.lambdas)) for p in points]
-            slow = [stats.log_likelihood(p) for p in reversed(points)][::-1]
-            for p, f, full in zip(points, fast, slow):
-                assert f.hex() == full.hex() == reference(stats, p).hex()
+            for p in points:
+                assert stats.log_likelihood(p).hex() == reference(stats, p).hex()
 
     def test_concurrent_evaluations_match_serial(self):
         # Two threads evaluate one SufficientStats at two points, switching
         # as often as the interpreter allows; no call may see the other's state.
         spec, _, data = random_case(5, ModelKind.SSK, k=4, n=6)
         stats = sufficient_stats(spec, data)
-        points = [(0.7, [1.3, 0.4, 2.2]), (2.5, [0.6, 1.9, 0.8])]
-        serial = [stats._log_likelihood(theta, lambdas) for theta, lambdas in points]
+        points = [Params(0.7, (1.3, 0.4, 2.2)), Params(2.5, (0.6, 1.9, 0.8))]
+        serial = [stats.log_likelihood(p) for p in points]
         results = [[], []]
         start = threading.Barrier(2, timeout=60)
 
         def evaluate(i):
-            theta, lambdas = points[i]
             start.wait()
-            results[i] = [stats._log_likelihood(theta, lambdas) for _ in range(30_000)]
+            results[i] = [stats.log_likelihood(points[i]) for _ in range(30_000)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -8,7 +8,9 @@ cell's row and column, and a one-column file must exit 1. Any mix of flags, vali
 four commands must end in exit 0, 1, 2 or 3, again with no traceback and no
 warning. The dataset writer must spell every value as ``format_float`` does,
 whichever of its two paths the value takes, and the chunked reader must
-agree with the per-cell parser.
+agree with the per-cell parser. A parameter file whose numbers JSON or
+float64 cannot hold must exit 2. The oracle must certify the closed form on
+data at every float64 scale.
 """
 
 import contextlib
@@ -24,10 +26,10 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import loadshare.io
-from loadshare import SpacingsMatrix
+from loadshare import LoadShareError, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck
 from loadshare.cli import main
 
 magnitudes = st.floats(math.log10(1e-320), 308.0).map(lambda e: 10.0**e)
@@ -398,3 +400,63 @@ def test_flag_combinations_exit_0_to_3(cli_files, argv):
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err and "Warning" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+# JSON number literals that no parameter file may hold: past float64, past
+# Python's 4,300-digit limit for int literals, zeros, and booleans.
+bad_numbers = st.one_of(
+    st.integers(2**1024, 10**4000).map(str),
+    st.integers(2**1024, 10**4000).map(lambda v: str(-v)),
+    st.integers(4301, 6000).map(lambda digits: "9" * digits),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "-0", "0", "-0.0", "true", "false"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(number=bad_numbers, slot=st.sampled_from(["k", "theta", "lambda"]))
+@example(number="1" + "0" * 400, slot="theta")
+@example(number="1" + "0" * 4400, slot="theta")
+def test_params_file_numbers_exit_2(number, slot):
+    fields = {"k": "3", "theta": "1.5", "lambda": "[1, 2]"}
+    fields[slot] = f"[1, {number}]" if slot == "lambda" else number
+    pairs = ", ".join(f'"{key}": {value}' for key, value in fields.items())
+    text = '{"model": "kim-kvam", ' + pairs + "}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, err, caught = run_main(["simulate", "--params", path, "--n", "2"])
+    assert code == 2, err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+def _scaled(spec, n, e, seed=0):
+    return spec, np.random.default_rng(seed).exponential(size=(n, spec.k)) * 2.0**e
+
+
+@st.composite
+def scaled_datasets(draw):
+    """Exp(1) spacings times 2**e, e in [-1000, 1000], under either model."""
+    k = draw(st.integers(2, 5))
+    spec = ModelSpec.kim_kvam(k)
+    if k > 2 and draw(st.booleans()):
+        spec = ModelSpec.ssk(k, draw(st.integers(2, k - 1)))
+    n, e = draw(st.integers(1, 29)), draw(st.integers(-1000, 1000))
+    return _scaled(spec, n, e, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scaled_datasets())
+# Both hit the iteration cap if the fallback climbs the raw gradient.
+@example(case=_scaled(ModelSpec.ssk(4, 2), 9, -472))
+@example(case=_scaled(ModelSpec.ssk(4, 3), 9, -224))
+def test_oracle_certifies_at_every_scale(case):
+    spec, spacings = case
+    try:
+        data = SpacingsMatrix(spacings)
+        closed_form_mle(spec, data)
+    except LoadShareError:  # a stage total or an estimate outside float64
+        reject()
+    result = crosscheck(spec, data)
+    assert result.ok, (result.max_param_rel_discrepancy, result.loglik_gap)
