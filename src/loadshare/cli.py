@@ -9,6 +9,7 @@ all diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (
@@ -143,11 +144,10 @@ def cmd_simulate(args) -> int:
         write_dataset(data, sys.stdout)
     else:
         try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                write_dataset(data, handle)
+        except OSError as exc:  # an unwritable path, or a full disk
             raise _UsageError(f"cannot write output file: {exc}") from None
-        with handle:
-            write_dataset(data, handle)
     print(f"n={data.n} k={data.k} seed={args.seed}", file=sys.stderr)
     return EXIT_OK
 
@@ -310,25 +310,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _WriteFault(Exception):
+    """A write to stdout failed: a full disk, or a pipe closed early."""
+
+
+class _Stdout:
+    """sys.stdout while a command runs: a fault writing it is raised as _WriteFault, so that
+    main tells it apart from every other OSError."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except OSError as exc:
+            raise _WriteFault(exc) from None
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except OSError as exc:
+            raise _WriteFault(exc) from None
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE_ERROR
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error argparse has reported
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE_ERROR
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a fault writing stdout shows here, not at exit
+        return code
     except (DataFileError, NonPositiveLifetime, DuplicateLifetime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except (_UsageError, InvalidModel, InvalidParams, InvalidSampleSize, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
+    except _WriteFault as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE_ERROR
+    finally:
+        sys.stdout = stdout
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # the fault main reported: what stdout still holds goes to the null device,
+        null = os.open(os.devnull, os.O_WRONLY)  # so that the flush at exit cannot fail
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -4,12 +4,15 @@ Datasets are UTF-8 CSV with a mandatory header: ``t1,...,tk`` for
 inter-failure spacings or ``x1,...,xk`` for raw component lifetimes (the
 latter are converted on load by sorting each row and differencing). LF,
 CRLF and CR line endings are accepted; the decimal separator is ``.``.
-Data lines are read in chunks of about 1 MB. numpy's C reader parses a chunk
-of plain unquoted numbers, finite and > 0, k to a line, with no tied
-lifetimes; any other chunk and the rest of the file go to a per-cell
-``float()`` parser, which alone words errors. An error's "row" is the
-1-based file line its record starts on, header and blank lines counted.
-On that path each cell is checked once, and the file is copied once, to join its chunks.
+Data lines are read in chunks of about 192k characters, whole lines. A numpy
+kernel reads a chunk whose lines all hold k cells of the form
+``digits[.digits][(e|E)[+|-]digits]`` (``5.`` and ``.5`` too), padded by ASCII
+spaces or tabs, ending in LF, CRLF or CR: it converts each cell exactly, as
+``float()`` does (see :func:`read_dataset`). Any other chunk (another byte, a
+blank line, a CR amid LF line ends, a ragged row, a value not finite and > 0, a
+tie) and the rest of the file go to a per-cell ``float()`` parser, which
+alone words errors. An error's "row" is the 1-based file line its record
+starts on, header and blank lines counted.
 
 Datasets are written with each value as ``"%.17g"`` spells it, which parses
 back to the same float64. A numpy kernel spells a block of values at a time
@@ -31,6 +34,8 @@ Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import itertools
 import json
 import math
@@ -55,12 +60,24 @@ _HEADER_RE = re.compile(r"^([tx])(\d+)$")
 # Rows formatted per write: large enough to amortise the numpy calls, small enough
 # that the block's 32-byte text rows stay a few hundred kB.
 _WRITE_BLOCK_ROWS = 4096
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64 (see _halves)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64 (see _product)
 _WORD = np.dtype("<u8")  # 8 text bytes, the first in the low byte
 _ZEROS = 0x3030303030303030  # the word b"00000000"
 _DOTS = 0x2E2E2E2E2E2E2E2E  # the word b"........"
 _ONES = 0x0101010101010101  # 8 bytes of numpy True
-_CHUNK_CHARS = 1 << 20  # characters of data lines per chunk for numpy's C reader
+# _PREFIX[j]: a 32-byte row whose bytes 0..j-1 are 0xFF, as 4 words.
+_PREFIX = np.array([[255] * j + [0] * (32 - j) for j in range(33)], np.uint8).view(_WORD)
+_PREFIX_T = np.ascontiguousarray(_PREFIX.T)  # _PREFIX_T[w, j]: word w of _PREFIX[j]
+_DIGITS_T = np.uint64(0x0F0F0F0F0F0F0F0F) & ~_PREFIX_T  # the low 4 bits of the bytes from j on
+_CHUNK_CHARS = 3 << 16  # characters of whole data lines per chunk for the parse kernel
+# The parse kernel (see read_dataset): the rank of each byte of a cell that is not a digit, in
+# the order they come (pad 0, point 1, e 2, sign 3, separator 4, CR 5; -1 outside the
+# grammar), the exponents q of its table of 10**q, and half an ulp of 1 less its margin.
+_RANK = np.array([" \t..eE+-,\n\r\r".find(chr(b)) // 2 for b in range(256)], np.int8)
+_Q_MIN, _Q_MAX = -290, 288
+_HALF_ULP = 2.0**-53 * (1 - 2.0**-32)
+_EXPONENT = np.uint64(0x7FF0000000000000)  # the exponent bits of a float64
+_TENS = np.array([float(10**q) for q in range(23)])  # the powers of ten that are exact doubles
 
 
 def format_float(value: float) -> str:
@@ -89,11 +106,27 @@ def json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: ``hi + lo == v`` exactly, each with at most 26 significant bits."""
-    c = _SPLIT * v
-    hi = c - (c - v)
-    return hi, v - hi
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: a = fl(x * y) and err with ``a + err == x * y`` exactly where
+    nothing overflows or underflows. Veltkamp's split cuts x and y into halves of at most 26
+    significant bits, whose four products are exact. The six rows of ``out`` are a, err and
+    scratch."""
+    a, err, xh, xl, yh, yl = out
+    np.multiply(x, y, out=a)
+    for v, hi, lo in ((x, xh, xl), (y, yh, yl)):  # hi = c - (c - v) with c = _SPLIT * v
+        np.multiply(v, _SPLIT, out=hi)
+        np.subtract(hi, v, out=lo)
+        hi -= lo
+        np.subtract(v, hi, out=lo)
+    np.multiply(xh, yh, out=err)  # err = xl*yl - (((a - xh*yh) - xl*yh) - xh*yl)
+    np.subtract(a, err, out=err)
+    yh *= xl
+    err -= yh
+    xh *= yl
+    err -= xh
+    xl *= yl
+    np.subtract(xl, err, out=err)
+    return a, err
 
 
 def _digits8(v: np.ndarray) -> np.ndarray:
@@ -108,22 +141,17 @@ def _digits8(v: np.ndarray) -> np.ndarray:
     return q | (x - q * 10) << 8
 
 
-def _fixed_rows(x: np.ndarray, prefix: np.ndarray):
+def _fixed_rows(x: np.ndarray):
     """Text rows of the values ``x`` that ``"%.17g"`` prints in fixed notation.
 
     Returns ``(text, keep, ok)``: 32-byte rows as 4 words each, the 0/1 bytes of each row
     that belong to the value's text, and which values are certified (see :func:`write_dataset`);
     the rows of the others hold nothing of use. Byte 31 of every row is left for a separator.
-    ``prefix[j]`` is the row mask of bytes 0..j-1.
     """
     fixed = (x >= 1e-4) & (x < 1e17)
     xs = np.where(fixed, x, 1.0)
     p = np.clip(16.0 - np.floor(np.log10(xs)), 0.0, 20.0).astype(np.intp)
-    scale = np.array([float(10**j) for j in range(21)]).take(p)  # 10**p, exact below 10**23
-    # Dekker's product: a + err == xs * scale exactly, a the rounded product.
-    a = xs * scale
-    (xh, xl), (sh, sl) = _halves(xs), _halves(scale)
-    err = xl * sl - (((a - xh * sh) - xl * sh) - xh * sl)
+    a, err = _product(xs, _TENS.take(p), np.empty((6, len(xs))))  # a + err == xs * 10**p
     low = np.floor(err)
     frac = err - low
     integral = a >= 1e16  # above 2**53, so a is an integer
@@ -144,13 +172,13 @@ def _fixed_rows(x: np.ndarray, prefix: np.ndarray):
     s = e + 8
     shifted = text.ravel() << 8  # row byte j moves to j + 1
     shifted[1:] |= text.ravel()[:-1] >> 56
-    before, upto = prefix.take(s, axis=0), prefix.take(s + 1, axis=0)
+    before, upto = _PREFIX.take(s, axis=0), _PREFIX.take(s + 1, axis=0)
     text &= before
     text |= shifted.reshape(text.shape) & ~upto
     text |= (upto ^ before) & _DOTS
     # Keep from the integer part's first digit; up to the last nonzero digit, or the point.
     end = np.where(last >= s, last + 2, s)
-    keep = prefix.take(end, axis=0) & ~prefix.take(7 + np.minimum(e, 0), axis=0) & _ONES
+    keep = _PREFIX.take(end, axis=0) & ~_PREFIX.take(7 + np.minimum(e, 0), axis=0) & _ONES
     return text, keep.astype(_WORD, copy=False), ok
 
 
@@ -178,14 +206,11 @@ def write_dataset(spacings, stream: IO[str]) -> None:
     data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings, float)
     k = data.shape[1]
     stream.write(",".join(f"t{j + 1}" for j in range(k)) + "\n")
-    # prefix[j]: a 32-byte row whose bytes 0..j-1 are 0xFF, as 4 words.
-    windows = np.lib.stride_tricks.sliding_window_view(np.repeat(np.uint8([255, 0]), 32), 32)
-    prefix = windows[::-1].copy().view(_WORD)
     seps = np.resize(np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64),
                      min(len(data), _WRITE_BLOCK_ROWS) * k) << 56
     for start in range(0, len(data), _WRITE_BLOCK_ROWS):
         values = data[start : start + _WRITE_BLOCK_ROWS].ravel()
-        text, keep, ok = _fixed_rows(values, prefix)
+        text, keep, ok = _fixed_rows(values)
         text[:, 3] |= seps[: len(values)]
         keep[:, 3] |= 1 << 56
         chars, kept = text.view(np.uint8), keep.view(bool)
@@ -243,17 +268,128 @@ def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, lifeti
     return parsed
 
 
-def _fast_block(lines: list[str], k: int, convert) -> np.ndarray | None:
-    """Spacings of a chunk read by numpy's C reader; None if the per-cell parser must read it."""
-    text = "".join(lines)
-    # loadtxt warns on a chunk of blank lines, and strips the separators \x1c-\x1f
-    # around a number as whitespace where float() rejects them.
-    if text.isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+@functools.cache
+def _powers() -> np.ndarray:
+    """Rows p1 = fl(10**q) and p2 = fl(10**q - p1) for q in [_Q_MIN, _Q_MAX], by integer
+    arithmetic (int / int rounds correctly), on first use."""
+    ratios = [(num, den, *(num / den).as_integer_ratio())
+              for num, den in ((10**q, 1) if q >= 0 else (1, 10**-q) for q in range(_Q_MIN, _Q_MAX + 1))]
+    return np.array([[a / b for _, _, a, b in ratios], [(num * b - a * den) / (den * b) for num, den, a, b in ratios]])
+
+
+def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot, work: np.ndarray) -> tuple:
+    """The integers spelled by text bytes [first, end) of ``words`` (the text as aligned words),
+    leaving out the point at ``dot`` where dot >= 0, and whether each is below 10**19: the
+    1-3 words of text before ``end``, gathered into rows of ``work``, with the bytes up to the
+    point moved up one and those before the first digit set to 0, read 8 digits at a time."""
+    width = max(1, min(3, (int((end - first).max()) + 7) // 8))
+    start = end - 8 * width  # the text byte of row byte 0
+    lead = 8 * width - (end - first) + (dot >= 0)  # row bytes before the first digit
+    row, tmp, mask = work[: 3 * width * len(end)].reshape(3, width, -1)
+    for w in range(width + 1):
+        np.take(words[w:], start >> 3, out=row[w] if w < width else tmp[-1], mode="clip")
+    tmp[:-1] = row[1:]
+    shift = ((start & 7) << 3).astype(np.uint64)
+    row >>= shift
+    tmp <<= np.uint64(64) - shift
+    row |= tmp
+    if (moved := np.clip(dot - start + 1, 0, 8 * width)).any():  # row bytes up to the point
+        np.left_shift(row, np.uint64(8), out=tmp)  # every byte moved up one, across words too
+        np.right_shift(row[:-1], np.uint64(56), out=mask[1:])
+        tmp[1:] |= mask[1:]
+        np.take(_PREFIX_T[:width], moved, axis=1, out=mask, mode="clip")
+        tmp ^= row
+        tmp &= mask
+        row ^= tmp
+    row &= np.take(_DIGITS_T[:width], np.clip(lead, 0, 8 * width), axis=1, out=mask, mode="clip")
+    row *= np.uint64(2561)  # 10 * digit + the next digit, in the odd bytes
+    row >>= np.uint64(8)
+    row &= np.uint64(0x00FF00FF00FF00FF)
+    row *= np.uint64(100 * 65536 + 1)  # 100 * pair + the next pair, in the odd 16-bit lanes
+    row >>= np.uint64(16)
+    row &= np.uint64(0x0000FFFF0000FFFF)
+    row *= np.uint64(10000 * 2**32 + 1)  # 10**4 * quad + the next quad, in the high half
+    row >>= np.uint64(32)
+    fits = (lead >= 0) & (row[0] < np.uint64(10 ** (27 - 8 * width)))
+    for w in range(1, width):
+        row[0] *= np.uint64(10**8)
+        row[0] += row[w]
+    return row[0] * fits, fits
+
+
+def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
+    """fl(n * 10**q) for n < 10**19, and which values are certified (see :func:`read_dataset`)."""
+    n1 = n.astype(float)
+    if n.max() < np.uint64(2**53) and -22 <= q.min() and q.max() <= 22:
+        return n1 * _TENS[np.maximum(q, 0)] / _TENS[np.maximum(-q, 0)], True
+    scratch, index = work[: 8 * len(n)].view(float).reshape(8, -1), np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
+    p1, p2 = (np.take(table, index, out=out, mode="clip") for table, out in zip(_powers(), scratch[6:]))
+    a, t = _product(n1, p1, scratch[:6])
+    p2 *= n1  # t = err + (n1*p2 + n2*p1), with n2 = n - n1 exact
+    p1 *= (n - n1.astype(np.uint64)).view(np.int64)
+    p2 += p1
+    t += p2
+    r = a + t
+    base = (a.view(np.uint64) & _EXPONENT).view(float)  # 2**E, the bottom of a's binade
+    a -= r
+    a += t  # r's residual (a - r) + t
+    return r, (q >= _Q_MIN) & (q <= _Q_MAX) & (np.abs(a) < base * _HALF_ULP) & (r > base)
+
+
+def _fast_block(text: str, k: int, convert, work: list) -> np.ndarray | None:
+    """Spacings of a chunk of whole lines read by the parse kernel (see :func:`read_dataset`);
+    None if the per-cell parser must read it. ``work[0]`` holds scratch kept between chunks."""
+    if "\n" not in text:  # CR line ends, or one line
+        text = text.replace("\r", "\n")
+    if not text.isascii() or text.endswith("\r"):  # a CR line end would pass for a CRLF below
         return None
+    # 24 bytes first, so that every row of _integers starts in the buffer, and whole words.
+    raw = b"0" * 24 + text.encode() + (b"" if text.endswith("\n") else b"\n")
+    size, c = len(raw), np.frombuffer(raw + bytes(16 - len(raw) % 8), np.uint8)
+    pos = np.flatnonzero((c[:size] - np.uint8(48)) >= 10)  # the tokens: every byte but a digit
+    rank = _RANK[c[pos]]
+    if (low := rank.min()) < 0:  # a byte outside the grammar
+        return None
+    sep = np.flatnonzero(rank == 4)
+    ends = pos[sep]
+    lf = c[ends] == 10
+    if len(sep) % k or not lf[k - 1 :: k].all() or lf.sum() * k != len(sep):
+        return None
+    skip = lf & (c[ends - 1] == 13)  # the tokens between a cell's text and its separator
+    if np.count_nonzero(skip) != np.count_nonzero(rank == 5):  # a CR that does not start a CRLF
+        return None
+    first = np.append(0, sep[:-1] + 1)  # a cell's first token, after its pads
+    starts, ends = np.append(24, ends[:-1] + 1), ends - skip
+    if low == 0:  # pads (the only bytes of a cell below b"!") are trimmed from a cell's ends
+        trimmed = starts, ends
+        while (lead := (c[starts] <= 32) & (starts < ends)).any():
+            starts = starts + lead
+        while (trail := (c[ends - 1] <= 32) & (starts < ends)).any():
+            ends = ends - trail
+        first, skip = first + (starts - trimmed[0]), skip + (trimmed[1] - ends)
+    dot = rank[first] == 1  # the rest of a cell's tokens, in rank order
+    exp = rank[at := first + dot] == 2
+    sign = exp & (rank[at + exp] == 3)
+    mend = np.where(exp, pos[at], ends)  # the mantissa's end
+    if (at + exp + sign + skip != sep).any() or (mend - starts - dot < 1).any():
+        return None
+    if exp.any() and ((sign & (pos[at + exp] != mend + 1)) | exp & (ends - mend - sign < 2)).any():
+        return None
+    if len(work[0]) < 9 * len(sep):
+        work[0] = np.empty(9 * len(sep), np.uint64)
+    point = np.where(dot, pos[first], -1)
+    n, ok = _integers(c.view(_WORD), starts, mend, point, work[0])
+    q = np.where(dot, point + 1 - mend, 0)  # less the fraction digits
+    if (e := np.flatnonzero(exp)).size:  # the exponent digits follow the e and the sign
+        x, fits = _integers(c.view(_WORD), mend[e] + 1 + sign[e], ends[e], -1, work[0])
+        q[e] += np.minimum(x, np.uint64(9999)).astype(np.int64) * np.where(c[mend[e] + 1] == 45, -1, 1)
+        ok[e] &= fits
+    values, certified = _scaled(n, q, work[0])
+    for i in np.flatnonzero(~(ok & certified)).tolist():
+        values[i] = float(raw[starts[i] : ends[i]])
     try:
-        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        return convert(block).data if block.shape[1] == k else None
-    except (ValueError, LoadShareError):  # the per-cell parser words the fault
+        return convert(values.reshape(-1, k)).data
+    except LoadShareError:  # the per-cell parser words the fault
         return None
 
 
@@ -263,6 +399,28 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     The header decides the mode. ``assume_lifetimes`` admits headerless
     legacy files, treating every row (including the first) as raw lifetimes;
     combining it with an explicit ``t``-header is rejected as contradictory.
+
+    The parse kernel (grammar in the module docstring) reads a cell as N, its mantissa digits
+    without the point, and q, its exponent less its fraction digits: the cell is N * 10**q
+    exactly. If every N of a chunk is below 2**53 and every |q| at most 22, N and 10**|q| are
+    doubles and one multiplication or division rounds correctly. Otherwise, for q in
+    [-290, 288], a table holds p1 = fl(10**q) and p2 = fl(10**q - p1), so p1 + p2 is 10**q to
+    2**-106, and n1 = fl(N) and the integer n2 = N - n1 split N exactly. Veltkamp's halves
+    and Dekker's sums give a + err == n1 * p1 exactly, and t = err + (n1 * p2 + n2 * p1)
+    leaves out only n2 * p2, the error of p1 + p2 and three roundings: N * 10**q is within
+    2**-101 |a| of a + t (nothing overflows or underflows in this range). With 2**E <= a <
+    2**(E+1) and h = 2**(E-53), half an ulp of a, r = fl(a + t) and res = (a - r) + t (a - r
+    is exact by Sterbenz's lemma) give N * 10**q - r to within 2**-46 h. r is kept when
+    |res| < h (1 - 2**-32) and r > 2**E: then r's neighbours lie at least 2h away on either
+    side (below the power of two 2**E the next double is only h away), so N * 10**q rounds to
+    r, as ``float()`` rounds it. Every other cell takes ``float()`` one at a time: more than
+    19 significant digits, q outside the table, a value within 2**-32 h of a rounding
+    boundary (exact ties too, which round half to even), and one that rounds to 2**E or below.
+    That last guard keeps the argument short, but no cell of the grammar needs it: without it,
+    a value could be misread only within 2**-46 h of a midpoint just below 2**E, where the
+    doubles are h apart, not 2h. Over every binade the table reaches, the decimals with
+    N < 10**19 nearest those midpoints are either midpoints themselves, whose a + t lands on
+    the side ``float()`` rounds to, or at least 2**-23 h away; a test enumerates them.
     """
     head = []  # the lines the header search reads: data, if there is no header
     first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
@@ -278,20 +436,25 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     if k < 2:
         raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
     convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
-    blocks, lines, line = [], *((head, 0) if mode is None else ([], len(head)))
-    while lines := lines + stream.readlines(_CHUNK_CHARS):
-        block = _fast_block(lines, k, convert)
-        if block is None:
-            rest, n_before = itertools.chain(lines, stream), sum(map(len, blocks))
-            values = _parse_rows(rest, line, n_before, k, convert is spacings_from_lifetimes)
-            blocks += [convert(values).data] if values else []
-            break
-        blocks.append(block)
-        lines, line = [], line + len(lines)
-    if not blocks:
+    # Lines before the data; a chunk the kernel reads holds one row a line.
+    out, rows, text, skipped = np.empty((0, k)), 0, *(("".join(head), 0) if mode is None else ("", len(head)))
+    work = [np.empty(0, np.uint64)]  # the parse kernel's scratch, kept from chunk to chunk
+    while text := text + stream.read(_CHUNK_CHARS):
+        text += "" if text.endswith("\n") else stream.readline()  # whole lines
+        block = _fast_block(text, k, convert, work)
+        if block is None:  # the per-cell parser reads the rest of the file
+            rest = itertools.chain(io.StringIO(text, newline=""), stream)
+            values = _parse_rows(rest, skipped + rows, rows, k, convert is spacings_from_lifetimes)
+            block = convert(values).data if values else np.empty((0, k))
+        if rows + len(block) > len(out):  # grow 4-fold: rows not yet written take no memory
+            out, old = np.empty((max(rows + len(block), 4 * len(out)), k)), out
+            out[:rows] = old[:rows]
+        out[rows : rows + len(block)] = block
+        rows, text = rows + len(block), ""
+    if not rows:
         raise DataFileError("dataset contains a header but no data rows")
     # Every block holds spacings that SpacingsMatrix or spacings_from_lifetimes checked.
-    return SpacingsMatrix._adopt(np.concatenate(blocks))
+    return SpacingsMatrix._adopt(out[:rows])
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

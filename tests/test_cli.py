@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,77 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SIMULATE = ["simulate", "--model", "kim-kvam", "--k", "2", "--theta", "1", "--lambda", "1"]
+
+
+def closed_stdout_run(argv, lines_read):
+    """Run the CLI with stdout a pipe closed after ``lines_read`` lines; (exit code, stderr)."""
+    child = subprocess.Popen([sys.executable, "-m", "loadshare", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    for _ in range(lines_read):
+        child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    return child.wait(), err
+
+
+class TestWriteFaults:
+    """A fault writing the output exits 2 with one error line: no traceback, and nothing
+    about an exception ignored at exit."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("to", ["out", "stdout", "help"])
+    def test_full_device_exits_2(self, tmp_path, to):
+        data = tmp_path / "d.csv"
+        data.write_text("t1,t2\n1,2\n")
+        argv = {"out": SIMULATE + ["--n", "5", "--out", "/dev/full"], "help": ["fit", "--help"],
+                "stdout": ["fit", "--model", "kim-kvam", "--data", str(data)]}[to]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "loadshare", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        expected = "cannot write output file" if to == "out" else "cannot write output"
+        assert done.returncode == 2
+        assert done.stderr == f"error: {expected}: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("argv, lines_read", [
+        (["fit", "--model", "kim-kvam", "--data", "DATA"], 0),
+        (SIMULATE + ["--n", "100000"], 1),
+        (["verify", "--model", "kim-kvam", "--random", "--instances", "2"], 0),
+    ], ids=["fit", "simulate", "verify"])
+    def test_closed_pipe_exits_2(self, tmp_path, argv, lines_read):
+        data = tmp_path / "d.csv"
+        data.write_text("t1,t2\n1,2\n")
+        code, err = closed_stdout_run([str(data) if a == "DATA" else a for a in argv], lines_read)
+        assert code == 2
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    def test_other_os_errors_are_not_write_faults(self, tmp_path, monkeypatch, capsys):
+        # Only a failed write to stdout is worded as an output fault, and main gives
+        # sys.stdout back as it found it.
+        data = tmp_path / "d.csv"
+        data.write_text("t1,t2\n1,2\n")
+
+        def fail(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cli, "closed_form_mle", fail)
+        stdout = sys.stdout
+        with pytest.raises(OSError, match="Input/output error"):
+            main(["fit", "--model", "kim-kvam", "--data", str(data)])
+        assert sys.stdout is stdout
+        assert capsys.readouterr().err == ""
+
+
+def test_import_builds_no_parse_table():
+    # Start-up stays lean: no fractions or decimal module, and the parse kernel's table of
+    # powers of ten is built on the first read, not at import.
+    code = ("import sys, loadshare.cli, loadshare.io as io; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)), io._powers.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[] 0\n"
 
 
 class TestSimulate:

@@ -1,5 +1,9 @@
 import io
 import json
+import math
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,10 +251,18 @@ class TestRowNumbersAreFileLines:
         )
 
 
+# (header letter, line end, cell format, separator); the "%.17g" cases keep their old ids.
+_PLAIN = [
+    pytest.param(letter, newline, cell, sep, id="-".join([letter, newline] + [name] * bool(name)))
+    for name, cell, sep in [("", "%.17g", ","), ("18e", "%.18e", ","), ("padded", "%.17g", ", ")]
+    for letter in "tx" for newline in ["\n", "\r\n"]
+]
+
+
 class TestFastPath:
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    @pytest.mark.parametrize("letter", ["t", "x"])
-    def test_plain_numbers_never_reach_the_per_cell_parser(self, monkeypatch, letter, newline):
+    @pytest.mark.parametrize("letter, newline, cell, sep", _PLAIN)
+    def test_plain_numbers_never_reach_the_per_cell_parser(self, monkeypatch, letter, newline,
+                                                           cell, sep):
         def per_cell(*args):
             raise AssertionError("the per-cell parser ran")
 
@@ -259,12 +271,117 @@ class TestFastPath:
         values = np.random.default_rng(7).exponential(size=(10_000, 4))
         text = newline.join(
             [",".join(f"{letter}{j}" for j in range(1, 5))]
-            + [",".join("%.17g" % v for v in row) for row in values]
+            + [sep.join(cell % v for v in row) for row in values]
         ) + newline
         stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
         got = read_dataset(stream)
         expected = values if letter == "t" else np.diff(np.sort(values, axis=1), prepend=0.0)
         assert got.data.tobytes() == expected.tobytes()
+
+
+def kernel_values(cells: list[str]) -> np.ndarray:
+    """The parse kernel's floats for one cell a line; the chunk must be in its grammar."""
+    block = loadshare.io._fast_block("\n".join(cells) + "\n", 1, lambda v: SimpleNamespace(data=v),
+                                     [np.empty(0, np.uint64)])
+    assert block is not None, "the kernel declined the chunk"
+    return block.ravel()
+
+
+def exact_decimal(x: Fraction) -> str:
+    """The terminating decimal expansion of a dyadic fraction, in full."""
+    shift = x.denominator.bit_length() - 1  # x = m / 2**shift = m * 5**shift / 10**shift
+    digits = str(x.numerator * 5**shift).rjust(shift + 1, "0")
+    return digits[: len(digits) - shift] + ("." + digits[len(digits) - shift :] if shift else "")
+
+
+def hard_cells() -> list[str]:
+    """Cells where a conversion that is not exact shows: midpoints between adjacent doubles
+    written in full (also with trailing zeros and in exponent form), values one ulp around
+    powers of two and of ten, 19-digit mantissas, leading zeros and short forms."""
+    cells = ["9007199254740993", "5.", ".5", "1E+05", "1e-05", "0", "0.0", "000123", "0.000123",
+             "00000000000000000000001.5", "1234567890123456789", "9999999999999999999",
+             "1000000000000000001", "9223372036854775807", "9223372036854775808",
+             "0.1234567890123456789", "1.234567890123456789e-100", "18446744073709551615",
+             "1e23", "8.988465674311579e307", "1e308", "1e-290", "1e-300", "1e400", "4.9e-324",
+             "2.2250738585072014e-308", "1.7976931348623157e308", "12345678901234567890e-20"]
+    for e in range(-8, 70):
+        for x in (2.0**e, math.nextafter(2.0**e, 0), math.nextafter(2.0**e, math.inf)):
+            mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+            full = exact_decimal(mid)
+            digits = full.replace(".", "")
+            cells += [full, full + ("0" if "." in full else ".0"), full + ("00" if "." in full else ".00"),
+                      f"{digits}e-{len(full) - full.index('.') - 1 if '.' in full else 0}"]
+            cells += ["%.17g" % x, "%.16g" % x, "%.20g" % x, "%.18e" % x, repr(x)]
+    for e in range(-25, 26):
+        for x in (10.0**e, math.nextafter(10.0**e, 0), math.nextafter(10.0**e, math.inf)):
+            cells += ["%.17g" % x, "%.18e" % x, repr(x)]
+    rng = random.Random(1)  # midpoints in the binades where they have at most 19 digits
+    for e in range(44, 64):
+        for _ in range(100):
+            full = exact_decimal((2 * rng.randrange(2**52, 2**53) + 1) * Fraction(2) ** (e - 53))
+            cells += [full + "0" * zeros for zeros in range(4)] if "." in full else [full]
+    return cells
+
+
+_FIVES = [5**i for i in range(291)]
+
+
+def power_of_two_neighbours() -> tuple[list[str], Fraction]:
+    """The decimals N * 10**q (1 <= N < 10**19, q in [-290, 288]) within 2**-10 h of a midpoint
+    2**e - j * h / 2 (j = 1, 3, 5, 7; h = 2**(e - 53)) below a power of two, in every binade the
+    parse kernel's table reaches, and the least distance, in units of h, of one that is not a
+    midpoint itself. Integer arithmetic throughout."""
+    cells, closest = [], Fraction(1)
+    for e in range(-966, 1021):
+        for j in (1, 3, 5, 7):
+            top = math.floor((e + math.log2(1 - j * 2.0**-54)) * math.log10(2))  # the midpoint's
+            for q in range(max(top - 20, -290), min(top + 1, 288) + 1):
+                a = e - 54 - q  # midpoint / 10**q = (2**54 - j) * 2**a / 5**q = num / den
+                num = ((2**54 - j) << max(a, 0)) * _FIVES[max(-q, 0)]
+                den = _FIVES[max(q, 0)] << max(-a, 0)
+                for n in (num // den, num // den + 1):
+                    # |n * 10**q - midpoint| / h = |n * den - num| / den * 2**(q + 53 - e) * 5**q
+                    diff, twos = abs(n * den - num), q + 53 - e + 10
+                    near = (diff << max(twos, 0)) * _FIVES[max(q, 0)]
+                    far = (den << max(-twos, 0)) * _FIVES[max(-q, 0)]
+                    if 1 <= n < 10**19 and near < far:
+                        cells.append(f"{n}e{q}")
+                        closest = min(closest, Fraction(near, far) / 2**10) if diff else closest
+    return cells, closest
+
+
+class TestParseKernel:
+    def test_decimals_next_to_a_power_of_two_equal_float(self):
+        # Where the kernel's r > 2**E guard would act (see read_dataset): a decimal that is not
+        # a midpoint below a power of two stays at least 2**-23 h from it, far outside the
+        # kernel's 2**-46 h error, and every decimal near one reads as float() reads it.
+        cells, closest = power_of_two_neighbours()
+        assert closest > Fraction(2) ** -23
+        got = kernel_values(cells)
+        wrong = [(cell, v.hex(), float(cell).hex()) for cell, v in zip(cells, got.tolist())
+                 if v.hex() != float(cell).hex()]
+        assert not wrong, wrong[:10]
+
+    def test_hard_cells_equal_float(self):
+        cells = hard_cells()
+        got = kernel_values(cells)
+        wrong = [(cell, v.hex(), float(cell).hex()) for cell, v in zip(cells, got.tolist())
+                 if v.hex() != float(cell).hex()]
+        assert not wrong, wrong[:10]
+
+    def test_the_kernel_certifies_ordinary_cells(self, monkeypatch):
+        # The kernel, not float(), answers ordinary values, or equality with float() proves little.
+        scaled, certified = loadshare.io._scaled, []
+
+        def spy(n, q, *work):
+            values, ok = scaled(n, q, *work)
+            certified.append(int(np.broadcast_to(ok, n.shape).sum()))
+            return values, ok
+
+        monkeypatch.setattr(loadshare.io, "_scaled", spy)
+        values = np.random.default_rng(3).exponential(size=2000) * 10.0 ** np.arange(-40, 40, 0.04)
+        kernel_values(["%.17g" % v for v in values])
+        assert certified == [2000]
 
 
 class TestParamsFile:

@@ -20,6 +20,7 @@ import os
 import struct
 import tempfile
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -227,6 +228,45 @@ def test_chunked_reader_matches_per_cell_parser(case, chunk_chars):
     with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
         got = _read_outcome(*case)
     assert got == expected
+
+
+_DOUBLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _digit_cells(draw):
+    """1-21 digits, with a point somewhere or none, and an exponent or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=21))
+    point = draw(st.integers(0, len(digits)))
+    mantissa = draw(st.sampled_from([digits, digits[:point] + "." + digits[point:]]))
+    exponent = draw(st.one_of(st.just(""), st.tuples(
+        st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=4),
+    ).map("".join)))
+    return mantissa + exponent
+
+
+# Cells in the parse kernel's grammar, with the ASCII padding it allows.
+_KERNEL_CELLS = st.tuples(
+    st.sampled_from(["", " ", "\t", "  "]),
+    st.one_of(
+        st.tuples(st.sampled_from(["%.17g", "%.16g", "%.15g", "%.20g", "%.18e", "%.6f"]), _DOUBLES)
+        .map(lambda t: t[0] % t[1]),
+        _DOUBLES.map(repr),
+        _digit_cells(),
+    ),
+    st.sampled_from(["", " ", "\t"]),
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(_KERNEL_CELLS, min_size=1, max_size=30), newline=st.sampled_from(["\n", "\r\n"]))
+def test_parse_kernel_matches_float(cells, newline):
+    # Every value the kernel returns is float(cell), bit for bit: the kernel keeps a value only
+    # where its rounding is certified and hands the rest to float() one cell at a time.
+    block = loadshare.io._fast_block(newline.join(cells) + newline, 1,
+                                     lambda v: SimpleNamespace(data=v), [np.empty(0, np.uint64)])
+    assert block is not None, "the kernel declined cells of its grammar"
+    assert [v.hex() for v in block.ravel().tolist()] == [float(cell).hex() for cell in cells]
 
 
 def _from_bits(bits: int) -> float:
