@@ -23,8 +23,8 @@ from .errors import (
     NonPositiveLifetime,
 )
 from .estimate import FitResult, closed_form_mle
-from .io import format_float, json_dumps, read_dataset, read_params_file, write_dataset
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix
+from .io import format_float, json_dumps, read_params_file, read_stats, write_dataset
+from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
 from .oracle import (
     VERIFY_LOGLIK_TOL,
     VERIFY_PARAM_TOL,
@@ -99,8 +99,11 @@ def _read_file(path: str, what: str, read):
         raise DataFileError(f"{what} is not UTF-8 text ({exc.reason} {bad!r})") from None
 
 
-def _read_dataset_file(path: str, assume_lifetimes: bool) -> SpacingsMatrix:
-    return _read_file(path, "dataset", lambda handle: read_dataset(handle, assume_lifetimes))
+def _read_stats(args) -> SufficientStats:
+    """The stats of --data under --model and --s; a fault of the data comes before the model's."""
+    ssk, spec_for = args.model == ModelKind.SSK.value, lambda k: _build_spec(args.model, k, args.s)
+    return _read_file(args.data, "dataset",
+                      lambda handle: read_stats(handle, ssk, spec_for, args.lifetimes))
 
 
 def _fit_as_json(fit: FitResult) -> str:
@@ -153,14 +156,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = _read_dataset_file(args.data, args.lifetimes)
-    spec = _build_spec(args.model, data.k, args.s)
-    fit = closed_form_mle(spec, data)
+    stats = _read_stats(args)
+    fit = closed_form_mle(stats.spec, stats)
     print(_fit_as_json(fit) if args.format == "json" else _fit_as_text(fit))
     return EXIT_OK
 
 
-def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix) -> bool:
+def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix | SufficientStats) -> bool:
     label = f"instance {index}: model={spec.kind.value} k={spec.k}"
     if spec.kind is ModelKind.SSK:
         label += f" s={spec.s}"
@@ -195,9 +197,8 @@ def cmd_verify(args) -> int:
             _verify_one(i + 1, spec, data) for i, (spec, _, data) in enumerate(instances)
         ]
     else:
-        data = _read_dataset_file(args.data, args.lifetimes)
-        spec = _build_spec(args.model, data.k, args.s)
-        checks = [_verify_one(1, spec, data)]
+        stats = _read_stats(args)
+        checks = [_verify_one(1, stats.spec, stats)]
     passed = sum(checks)
     print(
         f"verified {passed}/{len(checks)} instance(s) within tolerances "

@@ -45,8 +45,8 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
-    """Maximum likelihood estimates as exact ratios of exposure totals.
+def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> FitResult:
+    """Maximum likelihood estimates as exact ratios of exposure totals (of spacings, or stats).
 
     No iteration and no division by zero: the stage totals are positive.
     An estimate that leaves the float64 range is a data error.
@@ -61,5 +61,5 @@ def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
         loglik_at_mle=stats.log_likelihood(params_hat),
         stats=stats,
         model=spec,
-        n=t.n,
+        n=stats.n,
     )

@@ -12,20 +12,14 @@ spaces or tabs, ending in LF, CRLF or CR: it converts each cell exactly, as
 blank line, a CR amid LF line ends, a ragged row, a value not finite and > 0, a
 tie) and the rest of the file go to a per-cell ``float()`` parser, which
 alone words errors. An error's "row" is the 1-based file line its record
-starts on, header and blank lines counted.
+starts on, header and blank lines counted. Either way the rows come as a
+stream of checked blocks of spacings: a chunk, or a batch of the per-cell
+parser. :func:`read_dataset` joins them into one matrix; :func:`read_stats`
+folds each into running column sums and drops it, so memory stays O(chunk).
 
 Datasets are written with each value as ``"%.17g"`` spells it, which parses
-back to the same float64. A numpy kernel spells a block of values at a time
-where that format uses fixed notation, [1e-4, 1e17). It is exact, not
-approximate: with p = 16 - floor(log10 x), 10**p is an exact double, and
-Dekker's error-free product gives x * 10**p as a + err with no rounding, so
-the integer part N and the fraction are exact. N in [10**16, 10**17) proves
-the decimal exponent, and a fraction other than exactly 1/2 fixes the
-rounding of the 17th digit. Every value the kernel does not certify this way
-(exponent notation, exact ties, a misjudged exponent next to a power of ten,
-and nan, infinities, zeros and negatives in an ndarray) is spelled by
-:func:`format_float`, so the bytes are ``"%.17g"``'s whichever path a value
-takes.
+back to the same float64; a numpy kernel spells the values where that format
+uses fixed notation, exactly (see :func:`write_dataset`).
 
 Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 ``k`` and, for the ssk model only, ``s``; unknown keys are rejected.
@@ -40,19 +34,21 @@ import itertools
 import json
 import math
 import re
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import (DataFileError, DuplicateLifetime, InvalidModel, InvalidParams,
                      LoadShareError, NonPositiveLifetime)
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, spacings_from_lifetimes
+from .model import (ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
+                    spacings_from_lifetimes)
 
 __all__ = [
     "format_float",
     "json_dumps",
     "write_dataset",
     "read_dataset",
+    "read_stats",
     "read_params_file",
 ]
 
@@ -235,11 +231,12 @@ def _parse_header(cells: list[str]) -> str | None:
     return "spacings" if kinds.pop() == "t" else "lifetimes"
 
 
-def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, lifetimes: bool) -> list:
+def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, convert) -> Iterator:
     """Per-cell parse of the csv records in ``lines`` (after file line ``before`` and data row
-    ``n_before``); errors cite a record's first file line, and ties wait for every cell."""
-    reader, start = csv.reader(lines), before + 1
-    parsed, tie = [], None
+    ``n_before``) into spacings by ``convert``, in batches of about ``_CHUNK_CHARS // 16`` cells;
+    errors cite a record's first file line, and a tie waits for every cell (no batch follows)."""
+    reader, start, system = csv.reader(lines), before + 1, n_before
+    batch, tie, lifetimes = [], None, convert is spacings_from_lifetimes
     for cells in reader:
         row, start = start, before + reader.line_num + 1
         if not cells:
@@ -258,23 +255,28 @@ def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, lifeti
                 raise NonPositiveLifetime(f"row {row}, column {col}: value must be > 0 "
                                           f"(got {cell})", row=row, col=col)
             values.append(value)
+        system += 1
         if lifetimes and tie is None and len(set(values)) < k:
-            tie = row, n_before + len(parsed) + 1, min(v for v in values if values.count(v) > 1)
-        parsed.append(values)
+            tie = row, system, min(v for v in values if values.count(v) > 1)
+        if tie is None:
+            batch.append(values)
+            if len(batch) * k >= _CHUNK_CHARS >> 4:
+                yield convert(batch).data
+                batch = []
     if tie is not None:
         row, system, value = tie
         raise DuplicateLifetime(f"row {row}: system {system} contains the lifetime {value} twice; "
                                 "tied failures give a zero spacing", row=row)
-    return parsed
+    if batch:
+        yield convert(batch).data
 
 
 @functools.cache
-def _powers() -> np.ndarray:
-    """Rows p1 = fl(10**q) and p2 = fl(10**q - p1) for q in [_Q_MIN, _Q_MAX], by integer
-    arithmetic (int / int rounds correctly), on first use."""
-    ratios = [(num, den, *(num / den).as_integer_ratio())
-              for num, den in ((10**q, 1) if q >= 0 else (1, 10**-q) for q in range(_Q_MIN, _Q_MAX + 1))]
-    return np.array([[a / b for _, _, a, b in ratios], [(num * b - a * den) / (den * b) for num, den, a, b in ratios]])
+def _powers(q: int) -> tuple[float, float]:
+    """p1 = fl(10**q) and p2 = fl(10**q - p1), by int / int, which rounds correctly."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    a, b = (num / den).as_integer_ratio()
+    return a / b, (num * b - a * den) / (den * b)
 
 
 def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot, work: np.ndarray) -> tuple:
@@ -301,7 +303,7 @@ def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot, work: 
         tmp ^= row
         tmp &= mask
         row ^= tmp
-    row &= np.take(_DIGITS_T[:width], np.clip(lead, 0, 8 * width), axis=1, out=mask, mode="clip")
+    row &= np.take(_DIGITS_T[:width], lead, axis=1, out=mask, mode="clip")
     row *= np.uint64(2561)  # 10 * digit + the next digit, in the odd bytes
     row >>= np.uint64(8)
     row &= np.uint64(0x00FF00FF00FF00FF)
@@ -322,8 +324,11 @@ def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
     n1 = n.astype(float)
     if n.max() < np.uint64(2**53) and -22 <= q.min() and q.max() <= 22:
         return n1 * _TENS[np.maximum(q, 0)] / _TENS[np.maximum(-q, 0)], True
-    scratch, index = work[: 8 * len(n)].view(float).reshape(8, -1), np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
-    p1, p2 = (np.take(table, index, out=out, mode="clip") for table, out in zip(_powers(), scratch[6:]))
+    # The table's rows for the chunk's span of q; a q outside [_Q_MIN, _Q_MAX] is not certified.
+    lo, hi = (min(max(int(v), _Q_MIN), _Q_MAX) for v in (q.min(), q.max()))
+    table = zip(*map(_powers, range(lo, hi + 1)))
+    scratch = work[: 8 * len(n)].view(float).reshape(8, -1)
+    p1, p2 = (np.take(row, q - lo, out=out, mode="clip") for row, out in zip(table, scratch[6:]))
     a, t = _product(n1, p1, scratch[:6])
     p2 *= n1  # t = err + (n1*p2 + n2*p1), with n2 = n - n1 exact
     p1 *= (n - n1.astype(np.uint64)).view(np.int64)
@@ -393,12 +398,47 @@ def _fast_block(text: str, k: int, convert, work: list) -> np.ndarray | None:
         return None
 
 
+def _blocks(stream: IO[str], assume_lifetimes: bool) -> Iterator[np.ndarray]:
+    """The checked spacings of a dataset stream, a block of rows at a time (see read_dataset)."""
+    head = []  # the lines the header search reads: data, if there is no header
+    first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
+    if first is None:
+        raise DataFileError("dataset is empty")
+    k, mode = len(first), _parse_header(first)
+    if mode is None and not assume_lifetimes:
+        raise DataFileError("first row is not a t1..tk or x1..xk header; "
+                            "pass the lifetimes override for headerless legacy files")
+    if mode == "spacings" and assume_lifetimes:
+        raise DataFileError("file has a t1..tk spacings header; "
+                            "the lifetimes override contradicts it")
+    if k < 2:
+        raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
+    convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
+    # Lines before the data; a chunk the kernel reads holds one row a line.
+    rows, text, skipped = 0, *(("".join(head), 0) if mode is None else ("", len(head)))
+    work = [np.empty(0, np.uint64)]  # the parse kernel's scratch, kept from chunk to chunk
+    while text := text + stream.read(_CHUNK_CHARS):
+        text += "" if text.endswith("\n") else stream.readline()  # whole lines
+        blocks = [_fast_block(text, k, convert, work)]
+        if blocks[0] is None:  # the per-cell parser reads the rest of the file, a batch at a time
+            lines = itertools.chain(io.StringIO(text, newline=""), stream)
+            blocks = _parse_rows(lines, skipped + rows, rows, k, convert)
+        for block in blocks:
+            rows += len(block)
+            yield block
+        text = ""
+    if not rows:
+        raise DataFileError("dataset contains a header but no data rows")
+
+
 def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMatrix:
     """Parse a dataset stream into spacings.
 
     The header decides the mode. ``assume_lifetimes`` admits headerless
     legacy files, treating every row (including the first) as raw lifetimes;
     combining it with an explicit ``t``-header is rejected as contradictory.
+    The rows arrive as a stream of blocks, each checked and converted to spacings: a chunk
+    the kernel reads, or a batch of the per-cell parser. This joins them into one matrix.
 
     The parse kernel (grammar in the module docstring) reads a cell as N, its mantissa digits
     without the point, and q, its exponent less its fraction digits: the cell is N * 10**q
@@ -422,39 +462,20 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     N < 10**19 nearest those midpoints are either midpoints themselves, whose a + t lands on
     the side ``float()`` rounds to, or at least 2**-23 h away; a test enumerates them.
     """
-    head = []  # the lines the header search reads: data, if there is no header
-    first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
-    if first is None:
-        raise DataFileError("dataset is empty")
-    k, mode = len(first), _parse_header(first)
-    if mode is None and not assume_lifetimes:
-        raise DataFileError("first row is not a t1..tk or x1..xk header; "
-                            "pass the lifetimes override for headerless legacy files")
-    if mode == "spacings" and assume_lifetimes:
-        raise DataFileError("file has a t1..tk spacings header; "
-                            "the lifetimes override contradicts it")
-    if k < 2:
-        raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
-    convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
-    # Lines before the data; a chunk the kernel reads holds one row a line.
-    out, rows, text, skipped = np.empty((0, k)), 0, *(("".join(head), 0) if mode is None else ("", len(head)))
-    work = [np.empty(0, np.uint64)]  # the parse kernel's scratch, kept from chunk to chunk
-    while text := text + stream.read(_CHUNK_CHARS):
-        text += "" if text.endswith("\n") else stream.readline()  # whole lines
-        block = _fast_block(text, k, convert, work)
-        if block is None:  # the per-cell parser reads the rest of the file
-            rest = itertools.chain(io.StringIO(text, newline=""), stream)
-            values = _parse_rows(rest, skipped + rows, rows, k, convert is spacings_from_lifetimes)
-            block = convert(values).data if values else np.empty((0, k))
-        if rows + len(block) > len(out):  # grow 4-fold: rows not yet written take no memory
-            out, old = np.empty((max(rows + len(block), 4 * len(out)), k)), out
-            out[:rows] = old[:rows]
-        out[rows : rows + len(block)] = block
-        rows, text = rows + len(block), ""
-    if not rows:
-        raise DataFileError("dataset contains a header but no data rows")
     # Every block holds spacings that SpacingsMatrix or spacings_from_lifetimes checked.
-    return SpacingsMatrix._adopt(out[:rows])
+    return SpacingsMatrix._adopt(np.concatenate(list(_blocks(stream, assume_lifetimes))))
+
+
+def read_stats(stream: IO[str], ssk: bool, spec_for: Callable[[int], ModelSpec],
+               assume_lifetimes: bool = False) -> SufficientStats:
+    """``sufficient_stats(spec, read_dataset(stream))`` to the bit, with no n x k matrix held:
+    each block is folded into column sums as it is read (see :func:`model._fold`; ``ssk`` adds
+    squares and logs). ``spec_for(k)`` gives the model after the last row, so data faults come
+    first."""
+    n, sums = 0, None
+    for block in _blocks(stream, assume_lifetimes):
+        n, sums = n + len(block), _fold(block, ssk, sums)
+    return _stats(spec_for(sums.shape[1]), n, sums)
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

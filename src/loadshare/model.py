@@ -238,7 +238,7 @@ class SufficientStats:
     likelihood exponent is ``-theta * S . (1, lambda_1, ...)``; ``log_term``
     is the sum of log-spacings past the switch (ssk only, else 0). A plain
     value with no cache, so calls from several threads may overlap. Build it
-    with :func:`sufficient_stats`.
+    with :func:`sufficient_stats`, or from a file with :func:`loadshare.io.read_stats`.
     """
 
     spec: ModelSpec
@@ -279,19 +279,35 @@ class SufficientStats:
         return grad
 
 
-def _stage_totals(spec: ModelSpec, d: np.ndarray) -> np.ndarray:
-    """Stage totals S_1..S_k of spacings ``d``, reducing axis -2 of an (..., n, k) array.
-
-    Overflow and underflow are left for the caller to detect in the result.
-    """
+def _stage_totals(spec: ModelSpec, sum_t, sum_sq=None) -> np.ndarray:
+    """Stage totals S_1..S_k along the last axis, from the column sums of the spacings and, for
+    ssk, of their squares. Overflow is left for the caller to detect in the result."""
     w = _survivors(spec.k)
-    # Reduce whole columns, then slice: the summation order fixes the last bits.
-    with np.errstate(over="ignore", under="ignore"):
-        totals = w * d.sum(axis=-2)
+    with np.errstate(over="ignore"):
+        totals = w * sum_t
         if spec.kind is ModelKind.SSK:
-            accelerating = 0.5 * w * (d * d).sum(axis=-2)
+            accelerating = 0.5 * w * sum_sq
             totals = np.concatenate((totals[..., : spec.s], accelerating[..., spec.s :]), axis=-1)
     return totals
+
+
+_FOLD_ROWS = 4096  # rows a fold adds at a time, so that its buffer stays small for any matrix
+
+
+def _fold(d: np.ndarray, ssk: bool, sums: np.ndarray | None = None) -> np.ndarray:
+    """``sums`` (zeros if None) plus the column sums of spacings ``d``: row 0 sums t, and for
+    ``ssk`` rows 1 and 2 sum t*t and log t. numpy adds the rows of a C-order matrix of two or
+    more columns in order along axis 0, so seeding each sum with the carried row gives the same
+    bits however the rows are split; a single column would be summed pairwise, so none is cut."""
+    sums = np.zeros((3 if ssk else 1, d.shape[1])) if sums is None else sums
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, len(d), _FOLD_ROWS):
+            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, d.shape[1]))
+            for total, part in zip(sums, (np.positive, np.square, np.log)):
+                rows[0] = total
+                part(block, out=rows[1:])
+                rows.sum(axis=0, out=total)
+    return sums
 
 
 def _closed_form(n: int, totals) -> np.ndarray:
@@ -301,8 +317,19 @@ def _closed_form(n: int, totals) -> np.ndarray:
         return np.concatenate((n / s[..., :1], s[..., :1] / s[..., 1:]), axis=-1)
 
 
-def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
-    """Stage totals of the spacings under ``spec``.
+def _stats(spec: ModelSpec, n: int, sums: np.ndarray) -> SufficientStats:
+    """The stats under ``spec`` of ``n`` rows of spacings whose column sums :func:`_fold` gave."""
+    totals = _stage_totals(spec, *sums[:2])
+    bad = _first_bad(totals)
+    if bad is not None:
+        raise DataFileError(f"column {bad[0] + 1}: the stage total {totals[bad]:g} is outside "
+                            "the float64 range; rescale the data")
+    log_term = float(sums[2, spec.s :].sum()) if spec.kind is ModelKind.SSK else 0.0
+    return SufficientStats(spec, n, tuple(totals.tolist()), log_term)
+
+
+def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> SufficientStats:
+    """Stage totals of the spacings under ``spec`` (stats taken under ``spec`` pass as they are).
 
     kim-kvam: S_j = (k-j+1) * sum_i t_ij for every stage.
     ssk:      same through stage s, then S_j = (k-j+1)/2 * sum_i t_ij^2,
@@ -311,17 +338,13 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix) -> SufficientStats:
     A total that overflows or underflows float64 is a data error naming its
     column.
     """
+    if isinstance(t, SufficientStats):
+        if t.spec != spec:
+            raise DimensionMismatch(f"the stats were taken under {t.spec}, not {spec}")
+        return t
     if t.k != spec.k:
         raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
-    totals = _stage_totals(spec, t.data)
-    bad = _first_bad(totals)
-    if bad is not None:
-        raise DataFileError(f"column {bad[0] + 1}: the stage total {totals[bad]:g} is outside "
-                            "the float64 range; rescale the data")
-    log_term = 0.0
-    if spec.kind is ModelKind.SSK:
-        log_term = float(np.log(t.data).sum(axis=0)[spec.s :].sum())
-    return SufficientStats(spec, t.n, tuple(totals.tolist()), log_term)
+    return _stats(spec, t.n, _fold(t.data, spec.kind is ModelKind.SSK))
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:

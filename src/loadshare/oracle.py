@@ -94,8 +94,8 @@ def _backtrack(f, u: np.ndarray, f_u: float, d: np.ndarray) -> tuple[np.ndarray,
     return u + t * d, f_new
 
 
-def numeric_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
-    """Maximize the log-likelihood using function values only.
+def numeric_mle(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> FitResult:
+    """Maximize the log-likelihood of spacings, or stats, using function values only.
 
     Starts at lambda = 1 and theta = 1 / max_j S_j, where every exposure is at
     most 1: the start knows the data's scale but not the closed form, and only
@@ -144,7 +144,7 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix) -> FitResult:
         loglik_at_mle=f_u,
         stats=stats,
         model=spec,
-        n=t.n,
+        n=stats.n,
         # "sweeps" and "loglik_evals" keep the names the benchmark tracer reads.
         diagnostics={"sweeps": iteration, "loglik_evals": evals, "decrement": decrement},
     )
@@ -230,10 +230,11 @@ class CrosscheckResult:
         )
 
 
-def crosscheck(spec: ModelSpec, t: SpacingsMatrix) -> CrosscheckResult:
-    """Fit both routes and measure their disagreement."""
-    closed = closed_form_mle(spec, t)
-    numeric = numeric_mle(spec, t)
+def crosscheck(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> CrosscheckResult:
+    """Fit both routes from one set of stats and measure their disagreement."""
+    stats = sufficient_stats(spec, t)
+    closed = closed_form_mle(spec, stats)
+    numeric = numeric_mle(spec, stats)
     ref = closed.params_hat.as_array()
     got = numeric.params_hat.as_array()
     discrepancy = float(np.max(np.abs(got - ref) / np.abs(ref)))

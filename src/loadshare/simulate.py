@@ -188,7 +188,10 @@ def _block_estimates(
     spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState
 ) -> np.ndarray:
     """(reps, k) closed-form estimates, one row per replication drawn from ``stream``."""
-    totals = _stage_totals(spec, _draw_spacings(spec, truth, stream, (reps, n)))
+    d = _draw_spacings(spec, truth, stream, (reps, n))
+    with np.errstate(over="ignore", under="ignore"):
+        squares = (d * d).sum(axis=-2) if spec.kind is ModelKind.SSK else None
+        totals = _stage_totals(spec, d.sum(axis=-2), squares)
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")

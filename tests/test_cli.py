@@ -1,13 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import loadshare.cli as cli
 from loadshare.cli import main
+from loadshare.io import write_dataset
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +352,33 @@ class TestFit:
         assert "theta_hat: 0.5" in out
         assert "lambda_hat_1: 2" in out
         assert "loglik:" in out
+
+
+class TestFitMemory:
+    """fit folds each block of the file into running sums as it is read, so its peak memory
+    does not grow with the rows, whether the parse kernel or the per-cell parser reads them."""
+
+    @pytest.mark.parametrize("rows, quoted", [((20_000, 100_000), False), ((4_000, 20_000), True)],
+                             ids=["kernel", "per-cell"])
+    def test_peak_does_not_grow_with_rows(self, tmp_path, capsys, rows, quoted):
+        peaks = []
+        for n in rows:
+            text = io.StringIO()
+            write_dataset(np.random.default_rng(n).exponential(size=(n, 5)), text)
+            head, first, rest = text.getvalue().split("\n", 2)
+            if quoted:  # the kernel rejects the first chunk; the per-cell parser reads the file
+                first = '"{}",{}'.format(*first.split(",", 1))
+            path = tmp_path / f"{n}.csv"
+            path.write_text("\n".join([head.replace("t", "x"), first, rest]))
+            tracemalloc.start()
+            try:
+                code = main(["fit", "--model", "ssk", "--s", "2", "--data", str(path)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().err == ""
+        # The n x 5 matrix alone would differ by 3.2 MB (kernel) or 0.64 MB (per-cell).
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loadshare.model
 from loadshare import (
     DataFileError,
     DimensionMismatch,
@@ -195,6 +196,31 @@ class TestSufficientStats:
             ]
             for p in points:
                 assert stats.log_likelihood(p).hex() == reference(stats, p).hex()
+
+    @pytest.mark.parametrize("fold_rows", [1, 3, 4096])
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(2), ModelSpec.ssk(3, 2),
+                                      ModelSpec.ssk(5, 2), ModelSpec.ssk(5, 4)],
+                             ids=["kk-k2", "ssk-k3-s2", "ssk-k5-s2", "ssk-k5-s4"])
+    def test_blocked_sums_have_the_whole_matrix_bits(self, monkeypatch, fold_rows, spec):
+        # Blocks of any size give the bits of the whole-matrix column sums, also where only
+        # the last column is past the switch (numpy sums one column alone pairwise).
+        monkeypatch.setattr(loadshare.model, "_FOLD_ROWS", fold_rows)
+        k, s = spec.k, spec.s
+        d = np.random.default_rng(k).exponential(size=(3000, k)) * 10.0 ** np.arange(k)
+        stats = sufficient_stats(spec, SpacingsMatrix(d))
+        w = np.arange(k, 0, -1.0)
+        totals = w * d.sum(axis=0)
+        if s is not None:
+            totals[s:] = (0.5 * w * (d * d).sum(axis=0))[s:]
+        log_term = 0.0 if s is None else float(np.log(d).sum(axis=0)[s:].sum())
+        assert [v.hex() for v in stats.totals] == [v.hex() for v in totals.tolist()]
+        assert stats.log_term.hex() == log_term.hex() and stats.n == 3000
+
+    def test_stats_pass_only_under_their_own_spec(self):
+        stats = sufficient_stats(ModelSpec.ssk(4, 2), SpacingsMatrix([[1.0, 2.0, 3.0, 4.0]]))
+        assert sufficient_stats(ModelSpec.ssk(4, 2), stats) is stats
+        with pytest.raises(DimensionMismatch, match="taken under"):
+            sufficient_stats(ModelSpec.ssk(4, 3), stats)
 
     def test_concurrent_evaluations_match_serial(self):
         # Two threads evaluate one SufficientStats at two points, switching

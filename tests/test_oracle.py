@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import loadshare.model
 import loadshare.oracle as oracle
 from loadshare import (
     InvalidParams,
@@ -17,6 +18,7 @@ from loadshare import (
     numeric_mle,
     random_instances,
     score,
+    sufficient_stats,
 )
 from loadshare.errors import NoConvergence
 
@@ -159,6 +161,18 @@ class TestCrosscheck:
     def test_single_dataset_example(self):
         result = crosscheck(ModelSpec.kim_kvam(2), SpacingsMatrix([[1.0, 1.0]]))
         assert result.max_param_rel_discrepancy <= 1e-6
+
+    def test_stats_stand_in_for_the_matrix(self, monkeypatch):
+        # crosscheck takes the stats once; both fits, given stats, give what the matrix gives.
+        for spec, _, data in random_instances(ModelKind.SSK, 3, 5):
+            stats = sufficient_stats(spec, data)
+            assert closed_form_mle(spec, stats) == closed_form_mle(spec, data)
+            assert numeric_mle(spec, stats) == numeric_mle(spec, data)
+            expected = crosscheck(spec, data)
+            folds, fold = [], loadshare.model._fold
+            monkeypatch.setattr(loadshare.model, "_fold", lambda *a: folds.append(1) or fold(*a))
+            assert crosscheck(spec, data) == expected and len(folds) == 1
+            monkeypatch.undo()
 
 
 class TestFiniteDifferenceGradient:

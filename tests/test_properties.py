@@ -8,7 +8,8 @@ cell's row and column, and a one-column file must exit 1. Any mix of flags, vali
 four commands must end in exit 0, 1, 2 or 3, again with no traceback and no
 warning. The dataset writer must spell every value as ``format_float`` does,
 whichever of its two paths the value takes, and the chunked reader must
-agree with the per-cell parser. A parameter file whose numbers JSON or
+agree with the per-cell parser; the stats folded from a dataset stream must
+equal those of the matrix read from it. A parameter file whose numbers JSON or
 float64 cannot hold must exit 2. The oracle must certify the closed form on
 data at every float64 scale.
 """
@@ -30,7 +31,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings, strategies as st
 
 import loadshare.io
-from loadshare import LoadShareError, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck
+from loadshare import (LoadShareError, ModelKind, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck,
+                       sufficient_stats)
 from loadshare.cli import main
 
 magnitudes = st.floats(math.log10(1e-320), 308.0).map(lambda e: 10.0**e)
@@ -227,6 +229,59 @@ def test_chunked_reader_matches_per_cell_parser(case, chunk_chars):
         expected = _read_outcome(*case)
     with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
         got = _read_outcome(*case)
+    assert got == expected
+
+
+# Odd cells for the stats differential: a square past float64, ties for lifetimes, cells that
+# are bad, and one that only the per-cell parser reads.
+_ODD_CELLS = st.sampled_from(["1e200", "1e-200", "1", "1", "x", "0", '"2.5"'])
+
+
+@st.composite
+def stats_files(draw):
+    """(file text, assume_lifetimes, spec) for the stats differential: plain cells whose
+    squares float64 holds, and now and then an odd one."""
+    k = draw(st.integers(2, 5))
+    header = draw(st.sampled_from(["t", "x", "none"]))
+    cells = st.one_of(*[st.floats(1e-3, 1e3).map(repr)] * 3,
+                      st.floats(1e-150, 1e150).map("%.17g".__mod__))
+    rows = [[draw(cells) for _ in range(k)] for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, k - 1))] = draw(_ODD_CELLS)
+    lines = [] if header == "none" else [",".join(f"{header}{j}" for j in range(1, k + 1))]
+    spec = ModelSpec.kim_kvam(k)
+    if k > 2 and draw(st.booleans()):
+        spec = ModelSpec.ssk(k, draw(st.integers(2, k - 1)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines + [",".join(row) for row in rows]) + newline, header == "none", spec
+
+
+def _stats_outcome(read):
+    try:
+        stats = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return stats.spec, stats.n, [v.hex() for v in stats.totals], stats.log_term.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stats_files(),
+       chunk_chars=st.one_of(st.integers(1, 40), st.integers(100, 400),
+                             st.just(loadshare.io._CHUNK_CHARS)))
+def test_streamed_stats_equal_matrix_stats(case, chunk_chars):
+    # The stats of the whole matrix are the reference; the stats folded from the stream, a
+    # block at a time wherever the chunk boundaries fall, must have the same bits or raise the
+    # same error. Chunks of 100-400 characters give blocks of several rows after the first.
+    text, lifetimes, spec = case
+
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+
+    expected = _stats_outcome(
+        lambda: sufficient_stats(spec, loadshare.io.read_dataset(stream(), lifetimes)))
+    ssk = spec.kind is ModelKind.SSK
+    with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
+        got = _stats_outcome(lambda: loadshare.io.read_stats(stream(), ssk, lambda k: spec, lifetimes))
     assert got == expected
 
 
