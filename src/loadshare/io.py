@@ -10,12 +10,12 @@ kernel reads a chunk whose lines all hold k cells of the form
 spaces or tabs, ending in LF, CRLF or CR: it converts each cell exactly, as
 ``float()`` does (see :func:`read_dataset`). Any other chunk (another byte, a
 blank line, a CR amid LF line ends, a ragged row, a value not finite and > 0, a
-tie) and the rest of the file go to a per-cell ``float()`` parser, which
-alone words errors. An error's "row" is the 1-based file line its record
-starts on, header and blank lines counted. Either way the rows come as a
-stream of checked blocks of spacings: a chunk, or a batch of the per-cell
-parser. :func:`read_dataset` joins them into one matrix; :func:`read_stats`
-folds each into running column sums and drops it, so memory stays O(chunk).
+tie) goes alone to a per-cell ``float()`` parser, which words cell errors and
+reads on only to end a quoted record; the kernel takes the next chunk. An
+error's "row" is the 1-based file line its record starts on, header and blank
+lines counted; the first tie is raised after the last cell. Each chunk gives a
+checked block of spacings: :func:`read_dataset` joins them into one matrix;
+:func:`read_stats` folds each into running column sums, so memory stays O(chunk).
 
 Datasets are written with each value as ``"%.17g"`` spells it, which parses
 back to the same float64; a numpy kernel spells the values where that format
@@ -27,6 +27,7 @@ Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -34,12 +35,12 @@ import itertools
 import json
 import math
 import re
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
 from .errors import (DataFileError, DuplicateLifetime, InvalidModel, InvalidParams,
-                     LoadShareError, NonPositiveLifetime)
+                     NonPositiveLifetime)
 from .model import (ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
                     spacings_from_lifetimes)
 
@@ -231,44 +232,33 @@ def _parse_header(cells: list[str]) -> str | None:
     return "spacings" if kinds.pop() == "t" else "lifetimes"
 
 
-def _parse_rows(lines: Iterable[str], before: int, n_before: int, k: int, convert) -> Iterator:
-    """Per-cell parse of the csv records in ``lines`` (after file line ``before`` and data row
-    ``n_before``) into spacings by ``convert``, in batches of about ``_CHUNK_CHARS // 16`` cells;
-    errors cite a record's first file line, and a tie waits for every cell (no batch follows)."""
-    reader, start, system = csv.reader(lines), before + 1, n_before
-    batch, tie, lifetimes = [], None, convert is spacings_from_lifetimes
-    for cells in reader:
-        row, start = start, before + reader.line_num + 1
-        if not cells:
-            continue
-        if len(cells) != k:
-            raise DataFileError(f"row {row}: expected {k} columns, got {len(cells)}")
-        values = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataFileError(f"row {row}, column {col}: {cell!r} is not a number") from None
-            if not math.isfinite(value):
-                raise DataFileError(f"row {row}, column {col}: {cell!r} is not finite")
-            if value <= 0:
-                raise NonPositiveLifetime(f"row {row}, column {col}: value must be > 0 "
-                                          f"(got {cell})", row=row, col=col)
-            values.append(value)
-        system += 1
-        if lifetimes and tie is None and len(set(values)) < k:
-            tie = row, system, min(v for v in values if values.count(v) > 1)
-        if tie is None:
-            batch.append(values)
-            if len(batch) * k >= _CHUNK_CHARS >> 4:
-                yield convert(batch).data
-                batch = []
-    if tie is not None:
-        row, system, value = tie
-        raise DuplicateLifetime(f"row {row}: system {system} contains the lifetime {value} twice; "
-                                "tied failures give a zero spacing", row=row)
-    if batch:
-        yield convert(batch).data
+def _parse_rows(lines: list[str], more: IO[str], line: int, k: int) -> tuple[np.ndarray, list, int]:
+    """The n x k floats of the csv records that start in ``lines``, the chunk after file line
+    ``line`` (read on in ``more`` only to end a quoted record), each record's first file line,
+    and the lines read. Cell errors cite that line, in file order; a csv fault its own line."""
+    reader, start, values, rows = csv.reader(itertools.chain(lines, more)), line + 1, [], []
+    try:
+        for cells in reader:
+            row, start = start, line + reader.line_num + 1
+            if cells and len(cells) != k:
+                raise DataFileError(f"row {row}: expected {k} columns, got {len(cells)}")
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataFileError(f"row {row}, column {col}: {cell!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise DataFileError(f"row {row}, column {col}: {cell!r} is not finite")
+                if value <= 0:
+                    raise NonPositiveLifetime(f"row {row}, column {col}: value must be > 0 "
+                                              f"(got {cell})", row=row, col=col)
+                values.append(value)
+            rows += [row] * bool(cells)
+            if reader.line_num >= len(lines):
+                break
+    except csv.Error as exc:  # a field past csv's size limit; a NUL byte before Python 3.11
+        raise DataFileError(f"line {line + reader.line_num}: {exc}") from None
+    return np.array(values).reshape(-1, k), rows, reader.line_num
 
 
 @functools.cache
@@ -341,9 +331,9 @@ def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
     return r, (q >= _Q_MIN) & (q <= _Q_MAX) & (np.abs(a) < base * _HALF_ULP) & (r > base)
 
 
-def _fast_block(text: str, k: int, convert, work: list) -> np.ndarray | None:
-    """Spacings of a chunk of whole lines read by the parse kernel (see :func:`read_dataset`);
-    None if the per-cell parser must read it. ``work[0]`` holds scratch kept between chunks."""
+def _fast_block(text: str, k: int, work: list) -> np.ndarray | None:
+    """The n x k floats of a chunk of whole lines by the parse kernel (see :func:`read_dataset`),
+    or None for the per-cell parser. ``work[0]`` holds scratch kept between chunks."""
     if "\n" not in text:  # CR line ends, or one line
         text = text.replace("\r", "\n")
     if not text.isascii() or text.endswith("\r"):  # a CR line end would pass for a CRLF below
@@ -392,16 +382,17 @@ def _fast_block(text: str, k: int, convert, work: list) -> np.ndarray | None:
     values, certified = _scaled(n, q, work[0])
     for i in np.flatnonzero(~(ok & certified)).tolist():
         values[i] = float(raw[starts[i] : ends[i]])
-    try:
-        return convert(values.reshape(-1, k)).data
-    except LoadShareError:  # the per-cell parser words the fault
-        return None
+    return values.reshape(-1, k)
 
 
 def _blocks(stream: IO[str], assume_lifetimes: bool) -> Iterator[np.ndarray]:
-    """The checked spacings of a dataset stream, a block of rows at a time (see read_dataset)."""
+    """The checked spacings of a dataset stream, a chunk at a time (see the module docstring).
+    The first tie waits for the last cell: any bad cell in the file is reported before it."""
     head = []  # the lines the header search reads: data, if there is no header
-    first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
+    try:
+        first = next(filter(None, csv.reader(head.append(line) or line for line in stream)), None)
+    except csv.Error as exc:  # see _parse_rows
+        raise DataFileError(f"line {len(head)}: {exc}") from None
     if first is None:
         raise DataFileError("dataset is empty")
     k, mode = len(first), _parse_header(first)
@@ -414,21 +405,30 @@ def _blocks(stream: IO[str], assume_lifetimes: bool) -> Iterator[np.ndarray]:
     if k < 2:
         raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
     convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
-    # Lines before the data; a chunk the kernel reads holds one row a line.
-    rows, text, skipped = 0, *(("".join(head), 0) if mode is None else ("", len(head)))
-    work = [np.empty(0, np.uint64)]  # the parse kernel's scratch, kept from chunk to chunk
+    # The file line before the chunk, the systems before it, and the kernel's scratch.
+    line, text = (0, "".join(head)) if mode is None else (len(head), "")
+    systems, tie, work = 0, None, [np.empty(0, np.uint64)]
     while text := text + stream.read(_CHUNK_CHARS):
         text += "" if text.endswith("\n") else stream.readline()  # whole lines
-        blocks = [_fast_block(text, k, convert, work)]
-        if blocks[0] is None:  # the per-cell parser reads the rest of the file, a batch at a time
-            lines = itertools.chain(io.StringIO(text, newline=""), stream)
-            blocks = _parse_rows(lines, skipped + rows, rows, k, convert)
-        for block in blocks:
-            rows += len(block)
-            yield block
-        text = ""
-    if not rows:
+        block = None  # a bad cell or a tie sends the chunk to the per-cell parser
+        if (values := _fast_block(text, k, work)) is not None:
+            with contextlib.suppress(NonPositiveLifetime, DuplicateLifetime):
+                block, used = convert(values).data, len(values)  # the kernel's rows are lines
+        if block is None:
+            lines = io.StringIO(text, newline="").readlines()
+            values, rows, used = _parse_rows(lines, stream, line, k)
+            try:
+                block = convert(values).data if len(values) else values
+            except DuplicateLifetime as exc:  # named by its file line and its system in the file
+                row, block = rows[exc.row - 1], values[:0]
+                rest = str(exc).removeprefix(f"system {exc.row}")
+                tie = tie or DuplicateLifetime(f"row {row}: system {systems + exc.row}{rest}", row=row)
+        line, systems, text = line + used, systems + len(values), ""
+        yield block
+    if not systems:
         raise DataFileError("dataset contains a header but no data rows")
+    if tie is not None:
+        raise tie
 
 
 def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMatrix:
@@ -437,8 +437,7 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     The header decides the mode. ``assume_lifetimes`` admits headerless
     legacy files, treating every row (including the first) as raw lifetimes;
     combining it with an explicit ``t``-header is rejected as contradictory.
-    The rows arrive as a stream of blocks, each checked and converted to spacings: a chunk
-    the kernel reads, or a batch of the per-cell parser. This joins them into one matrix.
+    This joins the checked blocks of spacings, one a chunk (see the module docstring).
 
     The parse kernel (grammar in the module docstring) reads a cell as N, its mantissa digits
     without the point, and q, its exponent less its fraction digits: the cell is N * 10**q

@@ -314,6 +314,17 @@ class TestFit:
         assert code == 1 and out == ""
         assert "error: dataset has 1 column" in err
 
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    @pytest.mark.parametrize("content, line", [
+        ('t1,t2\n1,2\n\n3,"{}"\n', 4), ('"t1{}",t2\n1,2\n', 1), ('t1,t2\n1,2\n{}2,3\n', 3),
+    ], ids=["quoted-cell", "header", "plain-cell"])
+    def test_cell_past_csv_field_limit_exits_1(self, tmp_path, capsys, command, content, line):
+        data = tmp_path / "d.csv"
+        data.write_text(content.format("1" * 200_000))
+        code, out, err = run_cli(capsys, command, "--model", "kim-kvam", "--data", str(data))
+        assert code == 1 and out == ""
+        assert err == f"error: line {line}: field larger than field limit (131072)\n"
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--model", "kim-kvam", "--data", "/no/such.csv")
         assert code == 1
@@ -365,11 +376,11 @@ class TestFitMemory:
         for n in rows:
             text = io.StringIO()
             write_dataset(np.random.default_rng(n).exponential(size=(n, 5)), text)
-            head, first, rest = text.getvalue().split("\n", 2)
-            if quoted:  # the kernel rejects the first chunk; the per-cell parser reads the file
-                first = '"{}",{}'.format(*first.split(",", 1))
+            head, *lines = text.getvalue().splitlines()
+            if quoted:  # the kernel turns down every chunk; the per-cell parser reads them all
+                lines = ['"{}",{}'.format(*line.split(",", 1)) for line in lines]
             path = tmp_path / f"{n}.csv"
-            path.write_text("\n".join([head.replace("t", "x"), first, rest]))
+            path.write_text("\n".join([head.replace("t", "x"), *lines, ""]))
             tracemalloc.start()
             try:
                 code = main(["fit", "--model", "ssk", "--s", "2", "--data", str(path)])

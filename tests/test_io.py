@@ -3,7 +3,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,11 +277,30 @@ class TestFastPath:
         expected = values if letter == "t" else np.diff(np.sort(values, axis=1), prepend=0.0)
         assert got.data.tobytes() == expected.tobytes()
 
+    def test_kernel_resumes_after_a_chunk_it_turns_down(self, monkeypatch):
+        # A quoted first cell sends the first chunk, and only it, to the per-cell parser.
+        kernel, per_cell = [], []
+
+        def spy(calls, real):
+            return lambda *args: calls.append(real(*args)) or calls[-1]
+
+        monkeypatch.setattr(loadshare.io, "_fast_block", spy(kernel, loadshare.io._fast_block))
+        monkeypatch.setattr(loadshare.io, "_parse_rows", spy(per_cell, loadshare.io._parse_rows))
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 1 << 12)  # several chunks
+        values = np.random.default_rng(3).exponential(size=(2_000, 3))
+        head, first, rest = per_value_csv(values).split("\n", 2)
+        first = '"{}",{}'.format(*first.split(",", 1))
+        got = read_dataset(io.StringIO("\n".join([head, first, rest])))
+        assert got.data.tobytes() == values.tobytes()
+        assert len(kernel) > 2 and kernel[0] is None and all(b is not None for b in kernel[1:])
+        [(parsed, rows, used)] = per_cell
+        assert rows == list(range(2, 2 + len(parsed))) and used == len(parsed)
+        assert len(parsed) + sum(map(len, kernel[1:])) == len(values)
+
 
 def kernel_values(cells: list[str]) -> np.ndarray:
     """The parse kernel's floats for one cell a line; the chunk must be in its grammar."""
-    block = loadshare.io._fast_block("\n".join(cells) + "\n", 1, lambda v: SimpleNamespace(data=v),
-                                     [np.empty(0, np.uint64)])
+    block = loadshare.io._fast_block("\n".join(cells) + "\n", 1, [np.empty(0, np.uint64)])
     assert block is not None, "the kernel declined the chunk"
     return block.ravel()
 
