@@ -38,14 +38,7 @@ from .oracle import (
     numeric_mle,
     random_instances,
 )
-from .simulate import (
-    McSummary,
-    RngState,
-    exponential_spacing,
-    mc_study,
-    rayleigh_spacing,
-    sample_dataset,
-)
+from .simulate import McSummary, RngState, mc_study, sample_dataset
 
 __all__ = [
     "LoadShareError",
@@ -70,8 +63,6 @@ __all__ = [
     "closed_form_mle",
     "RngState",
     "McSummary",
-    "exponential_spacing",
-    "rayleigh_spacing",
     "sample_dataset",
     "mc_study",
     "CrosscheckResult",

@@ -269,15 +269,15 @@ def _powers(q: int) -> tuple[float, float]:
     return a / b, (num * b - a * den) / (den * b)
 
 
-def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot, work: np.ndarray) -> tuple:
+def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot) -> tuple:
     """The integers spelled by text bytes [first, end) of ``words`` (the text as aligned words),
-    leaving out the point at ``dot`` where dot >= 0, and whether each is below 10**19: the
-    1-3 words of text before ``end``, gathered into rows of ``work``, with the bytes up to the
-    point moved up one and those before the first digit set to 0, read 8 digits at a time."""
+    leaving out the point at ``dot`` where dot >= 0, and whether each fits (its first digit in the
+    window, below 10**19). The window: the 1-3 words of text before ``end``, as rows, the bytes up
+    to the point moved up one and those before the first digit set to 0, read 8 digits at a time."""
     width = max(1, min(3, (int((end - first).max()) + 7) // 8))
     start = end - 8 * width  # the text byte of row byte 0
     lead = 8 * width - (end - first) + (dot >= 0)  # row bytes before the first digit
-    row, tmp, mask = work[: 3 * width * len(end)].reshape(3, width, -1)
+    row, tmp, mask = np.empty((3, width, len(end)), np.uint64)
     for w in range(width + 1):
         np.take(words[w:], start >> 3, out=row[w] if w < width else tmp[-1], mode="clip")
     tmp[:-1] = row[1:]
@@ -302,14 +302,14 @@ def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot, work: 
     row &= np.uint64(0x0000FFFF0000FFFF)
     row *= np.uint64(10000 * 2**32 + 1)  # 10**4 * quad + the next quad, in the high half
     row >>= np.uint64(32)
-    fits = (lead >= 0) & (row[0] < np.uint64(10 ** (27 - 8 * width)))
+    fits = (start <= first + (dot == first)) & (row[0] < np.uint64(10 ** (27 - 8 * width)))
     for w in range(1, width):
         row[0] *= np.uint64(10**8)
         row[0] += row[w]
     return row[0] * fits, fits
 
 
-def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
+def _scaled(n: np.ndarray, q: np.ndarray) -> tuple:
     """fl(n * 10**q) for n < 10**19, and which values are certified (see :func:`read_dataset`)."""
     n1 = n.astype(float)
     if n.max() < np.uint64(2**53) and -22 <= q.min() and q.max() <= 22:
@@ -317,7 +317,7 @@ def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
     # The table's rows for the chunk's span of q; a q outside [_Q_MIN, _Q_MAX] is not certified.
     lo, hi = (min(max(int(v), _Q_MIN), _Q_MAX) for v in (q.min(), q.max()))
     table = zip(*map(_powers, range(lo, hi + 1)))
-    scratch = work[: 8 * len(n)].view(float).reshape(8, -1)
+    scratch = np.empty((8, len(n)))
     p1, p2 = (np.take(row, q - lo, out=out, mode="clip") for row, out in zip(table, scratch[6:]))
     a, t = _product(n1, p1, scratch[:6])
     p2 *= n1  # t = err + (n1*p2 + n2*p1), with n2 = n - n1 exact
@@ -331,9 +331,9 @@ def _scaled(n: np.ndarray, q: np.ndarray, work: np.ndarray) -> tuple:
     return r, (q >= _Q_MIN) & (q <= _Q_MAX) & (np.abs(a) < base * _HALF_ULP) & (r > base)
 
 
-def _fast_block(text: str, k: int, work: list) -> np.ndarray | None:
+def _fast_block(text: str, k: int) -> np.ndarray | None:
     """The n x k floats of a chunk of whole lines by the parse kernel (see :func:`read_dataset`),
-    or None for the per-cell parser. ``work[0]`` holds scratch kept between chunks."""
+    or None for the per-cell parser."""
     if "\n" not in text:  # CR line ends, or one line
         text = text.replace("\r", "\n")
     if not text.isascii() or text.endswith("\r"):  # a CR line end would pass for a CRLF below
@@ -370,16 +370,14 @@ def _fast_block(text: str, k: int, work: list) -> np.ndarray | None:
         return None
     if exp.any() and ((sign & (pos[at + exp] != mend + 1)) | exp & (ends - mend - sign < 2)).any():
         return None
-    if len(work[0]) < 9 * len(sep):
-        work[0] = np.empty(9 * len(sep), np.uint64)
     point = np.where(dot, pos[first], -1)
-    n, ok = _integers(c.view(_WORD), starts, mend, point, work[0])
+    n, ok = _integers(c.view(_WORD), starts, mend, point)
     q = np.where(dot, point + 1 - mend, 0)  # less the fraction digits
     if (e := np.flatnonzero(exp)).size:  # the exponent digits follow the e and the sign
-        x, fits = _integers(c.view(_WORD), mend[e] + 1 + sign[e], ends[e], -1, work[0])
+        x, fits = _integers(c.view(_WORD), mend[e] + 1 + sign[e], ends[e], -1)
         q[e] += np.minimum(x, np.uint64(9999)).astype(np.int64) * np.where(c[mend[e] + 1] == 45, -1, 1)
         ok[e] &= fits
-    values, certified = _scaled(n, q, work[0])
+    values, certified = _scaled(n, q)
     for i in np.flatnonzero(~(ok & certified)).tolist():
         values[i] = float(raw[starts[i] : ends[i]])
     return values.reshape(-1, k)
@@ -405,13 +403,13 @@ def _blocks(stream: IO[str], assume_lifetimes: bool) -> Iterator[np.ndarray]:
     if k < 2:
         raise DataFileError(f"dataset has {k} column; a system needs at least 2 components")
     convert = SpacingsMatrix if mode == "spacings" else spacings_from_lifetimes
-    # The file line before the chunk, the systems before it, and the kernel's scratch.
+    # The file line before the chunk, and the systems before it.
     line, text = (0, "".join(head)) if mode is None else (len(head), "")
-    systems, tie, work = 0, None, [np.empty(0, np.uint64)]
+    systems, tie = 0, None
     while text := text + stream.read(_CHUNK_CHARS):
         text += "" if text.endswith("\n") else stream.readline()  # whole lines
         block = None  # a bad cell or a tie sends the chunk to the per-cell parser
-        if (values := _fast_block(text, k, work)) is not None:
+        if (values := _fast_block(text, k)) is not None:
             with contextlib.suppress(NonPositiveLifetime, DuplicateLifetime):
                 block, used = convert(values).data, len(values)  # the kernel's rows are lines
         if block is None:

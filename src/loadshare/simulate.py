@@ -6,7 +6,9 @@ be drawn directly from its marginal law. With k-j+1 survivors each at rate
 ``lambda_{j-1} * theta`` the stage spacing is exponential with rate
 ``(k-j+1) * lambda_{j-1} * theta``; in the ssk accelerating phase the
 per-component hazard ``lambda_{j-1} * theta * t`` restarts its clock at each
-failure, so the stage spacing is Rayleigh and is drawn by inverting its CDF.
+failure, so the stage spacing is Rayleigh. Either way the stage's exposure
+(rate * t, or rate * t**2 / 2 past the switch) is a unit exponential, -log U,
+and each spacing is solved from it.
 
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
@@ -40,8 +42,6 @@ from .model import (
 __all__ = [
     "RngState",
     "McSummary",
-    "exponential_spacing",
-    "rayleigh_spacing",
     "sample_dataset",
     "mc_study",
 ]
@@ -88,21 +88,6 @@ class RngState:
         return f"RngState(seed={self.seed}, spawn_key={self._spawn_key})"
 
 
-def exponential_spacing(u, rate):
-    """Inverse-CDF transform: exponential variate with the given rate from U in (0,1)."""
-    return -np.log(u) / rate
-
-def rayleigh_spacing(u, rate):
-    """Inverse-CDF transform for the accelerating phase.
-
-    The stage survival function is exp(-rate * t^2 / 2), so
-    t = sqrt(2 * (-log U) / rate). Squaring back, rate * t^2 / 2 is a unit
-    exponential: the accelerating-phase exposure is exponential just like
-    the constant-phase one.
-    """
-    return np.sqrt(2.0 * (-np.log(u)) / rate)
-
-
 def _out_of_range(params: Params, what: str) -> InvalidParams:
     lambdas = ",".join(f"{l:g}" for l in params.lambdas)
     return InvalidParams(
@@ -119,24 +104,23 @@ def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
     return rates
 
 
-def _spacings_from_uniforms(spec: ModelSpec, rates: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if spec.kind is ModelKind.KIM_KVAM:
-        return exponential_spacing(u, rates)
-    constant = exponential_spacing(u[..., : spec.s], rates[: spec.s])
-    accelerating = rayleigh_spacing(u[..., spec.s :], rates[spec.s :])
-    return np.concatenate((constant, accelerating), axis=-1)
-
-
 def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple) -> np.ndarray:
     """Spacings of shape ``shape + (k,)``, each checked to be finite and > 0.
 
-    A stage rate can be valid yet so small (or large) that its spacing
-    overflows (or underflows to 0); that is a fault of the parameters.
+    The uniforms become spacings in place: -log U / rate, and past the ssk
+    switch sqrt(2 * (-log U) / rate). A stage rate can be valid yet so small
+    (or large) that its spacing overflows (or underflows to 0); that is a
+    fault of the parameters.
     """
     rates = _stage_rates(spec, params)
-    u = rng.uniform_open((*shape, spec.k))
+    t = rng.uniform_open((*shape, spec.k))
+    rayleigh = t[..., spec.s or spec.k :]  # the stages past the switch; none in kim-kvam
     with np.errstate(all="ignore"):
-        t = _spacings_from_uniforms(spec, rates, u)
+        np.log(t, out=t)
+        np.negative(t, out=t)  # the unit-exponential exposures
+        rayleigh *= 2.0
+        t /= rates
+        np.sqrt(rayleigh, out=rayleigh)
     bad = _first_bad(t)
     if bad is not None:
         raise _out_of_range(params, f"stage {bad[-1] + 1} a sampled spacing")

@@ -21,13 +21,11 @@ PUBLIC = [
     "SufficientStats",
     "closed_form_mle",
     "crosscheck",
-    "exponential_spacing",
     "finite_difference_gradient",
     "log_likelihood",
     "mc_study",
     "numeric_mle",
     "random_instances",
-    "rayleigh_spacing",
     "sample_dataset",
     "score",
     "spacings_from_lifetimes",

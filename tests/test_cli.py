@@ -325,6 +325,15 @@ class TestFit:
         assert code == 1 and out == ""
         assert err == f"error: line {line}: field larger than field limit (131072)\n"
 
+    def test_long_mantissa_fits_as_quoted(self, tmp_path, capsys):
+        # The parse kernel reads the first cell; quoted, the per-cell parser does. They must agree.
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("t1,t2\n100001234567890123.456789,1\n2,3\n")
+        quoted.write_text('t1,t2\n"100001234567890123.456789",1\n2,3\n')
+        fits = [run_cli(capsys, "fit", "--model", "kim-kvam", "--data", str(path)) for path in (plain, quoted)]
+        assert fits[0] == fits[1] and fits[0][0] == 0
+        assert "theta_hat: 9.9998765447351265e-18\n" in fits[0][1]
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--model", "kim-kvam", "--data", "/no/such.csv")
         assert code == 1

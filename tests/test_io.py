@@ -300,9 +300,14 @@ class TestFastPath:
 
 def kernel_values(cells: list[str]) -> np.ndarray:
     """The parse kernel's floats for one cell a line; the chunk must be in its grammar."""
-    block = loadshare.io._fast_block("\n".join(cells) + "\n", 1, [np.empty(0, np.uint64)])
+    block = loadshare.io._fast_block("\n".join(cells) + "\n", 1)
     assert block is not None, "the kernel declined the chunk"
     return block.ravel()
+
+
+# 24 digits and a point that is not the first byte; 1e17 as "%.6f" spells it read as 0.0.
+LONG_MANTISSAS = ["100001234567890123.456789", "1.00001234567890123456789e17",
+                  "100000000000000000.000000", "10000123456789012345678.9"]
 
 
 def exact_decimal(x: Fraction) -> str:
@@ -387,12 +392,21 @@ class TestParseKernel:
                  if v.hex() != float(cell).hex()]
         assert not wrong, wrong[:10]
 
+    @pytest.mark.parametrize("cell", LONG_MANTISSAS)
+    def test_a_first_digit_before_the_window_is_read(self, cell):
+        # A 25-byte mantissa with a point inside it: the 24 bytes the kernel gathers miss the first
+        # digit, so the kernel must hand the cell to float(), alone, among short cells, in a file.
+        assert kernel_values([cell])[0].hex() == float(cell).hex()
+        assert kernel_values(["1", cell, "2.5"])[1].hex() == float(cell).hex()
+        got = read_dataset(io.StringIO(f"t1,t2\n{cell},1\n2,3\n")).data[0, 0]
+        assert got.hex() == float(cell).hex()
+
     def test_the_kernel_certifies_ordinary_cells(self, monkeypatch):
         # The kernel, not float(), answers ordinary values, or equality with float() proves little.
         scaled, certified = loadshare.io._scaled, []
 
-        def spy(n, q, *work):
-            values, ok = scaled(n, q, *work)
+        def spy(n, q):
+            values, ok = scaled(n, q)
             certified.append(int(np.broadcast_to(ok, n.shape).sum()))
             return values, ok
 

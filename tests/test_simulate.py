@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from loadshare import (
     Params,
     RngState,
     closed_form_mle,
-    exponential_spacing,
     mc_study,
-    rayleigh_spacing,
     sample_dataset,
 )
-from loadshare.simulate import _BLOCK_UNIFORMS
+from loadshare.simulate import _BLOCK_UNIFORMS, _block_estimates
 
 
 class TestRngState:
@@ -47,18 +46,56 @@ class TestRngState:
             RngState(seed)
 
 
-class TestInverseTransforms:
-    def test_exponential_spacing_hand_value(self):
-        # -ln(e^-1) / 2
-        assert exponential_spacing(math.exp(-1.0), 2.0) == pytest.approx(0.5, rel=1e-12)
+class _Fixed(RngState):
+    """Hands out a copy of the given uniforms; the draw must ask for their shape."""
 
-    def test_rayleigh_spacing_hand_value(self):
-        # sqrt(2 * 0.5 / 1)
-        assert rayleigh_spacing(math.exp(-0.5), 1.0) == pytest.approx(1.0, rel=1e-12)
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
 
-    def test_vectorized(self):
-        u = np.array([math.exp(-1.0), math.exp(-2.0)])
-        assert np.allclose(exponential_spacing(u, 2.0), [0.5, 1.0], rtol=1e-12)
+    def uniform_open(self, size):
+        assert tuple(size) == self.u.shape
+        return self.u.copy()
+
+
+class TestDraw:
+    # Every stage's exposure is -log(U): a spacing is that over the stage rate, and past the
+    # ssk switch the Rayleigh root of twice that over the rate.
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(4), ModelSpec.ssk(4, 2), ModelSpec.ssk(4, 3),
+                                      ModelSpec.ssk(3, 2)], ids=["kim-kvam", "ssk-2", "ssk-k-1", "ssk-3"])
+    def test_spacings_are_the_inverse_cdf_bit_for_bit(self, spec):
+        params = Params(0.7, (1.5, 0.3, 2.0)[: spec.k - 1])
+        u = np.random.default_rng(2).random((200, spec.k))
+        u[0] = [1.0 - 2.0**-53, 2.0**-1074, 0.5, math.exp(-1.0)][: spec.k]  # the largest double below 1, the least subnormal
+        rates = np.arange(spec.k, 0, -1.0) * np.array((1.0, *params.lambdas)) * params.theta
+        s = spec.s or spec.k
+        expected = np.hstack([-np.log(u[:, :s]) / rates[:s],
+                              np.sqrt(2.0 * (-np.log(u[:, s:])) / rates[s:])])
+        got = sample_dataset(spec, params, 200, _Fixed(u)).data
+        assert got.tobytes() == expected.tobytes()
+
+    def test_hand_values(self):
+        # kim-kvam, rates (2, 2): 1 / 2 and 2 / 2; ssk k=3 s=2, rates (3, 2, 1): 1.5 / 3, 2 / 2 and,
+        # past the switch, sqrt(2 * 0.5 / 1)
+        u = np.array([[math.exp(-1.0), math.exp(-2.0)]])
+        got = sample_dataset(ModelSpec.kim_kvam(2), Params(1.0, (2.0,)), 1, _Fixed(u)).data
+        assert got[0] == pytest.approx([0.5, 1.0], rel=1e-15)
+        u = np.array([[math.exp(-1.5), math.exp(-2.0), math.exp(-0.5)]])
+        got = sample_dataset(ModelSpec.ssk(3, 2), Params(1.0, (1.0, 1.0)), 1, _Fixed(u)).data
+        assert got[0] == pytest.approx([0.5, 1.0, 1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(5), ModelSpec.ssk(5, 2)], ids=["kim-kvam", "ssk"])
+    def test_draw_holds_one_matrix(self, spec):
+        # The uniforms become the spacings in place: the peak is the matrix and the
+        # uniform sampler's zero mask, not the three matrices of a per-regime concatenation.
+        sample_dataset(spec, Params(1.0, (1.0,) * 4), 10, RngState(0))  # warm up
+        tracemalloc.start()
+        try:
+            sample_dataset(spec, Params(1.0, (1.0,) * 4), 200_000, RngState(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 200_000 * 5 * 8
 
 
 class TestSampleSystem:
@@ -227,3 +264,45 @@ class TestMcStudy:
         assert s.reps == 50
         for field in ("mean_estimates", "bias", "mse", "se_mean", "se_mse"):
             assert getattr(s, field).shape == (4,)
+
+
+def _gamma_cdf(n, x):
+    """P(X <= x) for X ~ Gamma(n, 1), integer n: one minus a Poisson(x) sum below n."""
+    term, total = np.exp(-x), np.zeros_like(x)
+    for i in range(n):
+        total += term
+        term = term * x / (i + 1)
+    return 1.0 - total
+
+
+def _beta_cdf(n, p):
+    """P(X <= p) for X ~ Beta(n, n), integer n: P(Binomial(2n - 1, p) >= n)."""
+    m = 2 * n - 1
+    return sum(math.comb(m, j) * p**j * (1.0 - p) ** (m - j) for j in range(n, m + 1))
+
+
+class TestExactLaw:
+    # Each stage's exposure is a unit exponential over theta * lambda_{j-1}, so S_j is
+    # Gamma(n, theta * lambda_{j-1}), independently: theta * S_1 = n * theta / theta_hat is
+    # Gamma(n, 1), and S_1 / (S_1 + lambda_j * S_{j+1}) = 1 / (1 + lambda_j / lambda_hat_j) is
+    # Beta(n, n). Both laws are exact at every n, so the whole sampler and closed form are on test.
+    N, n = 100_000, 6
+
+    @pytest.mark.parametrize("spec,truth,seed", [
+        (ModelSpec.kim_kvam(4), Params(1.3, (2.0, 0.5, 3.0)), 2004),
+        (ModelSpec.ssk(4, 2), Params(0.7, (1.5, 0.8, 2.0)), 2008),
+    ], ids=["kim-kvam", "ssk"])
+    def test_pivots_follow_their_exact_laws(self, spec, truth, seed):
+        estimates = _block_estimates(spec, truth, self.n, self.N, RngState(seed))
+        pivots = [(_gamma_cdf, self.n * truth.theta / estimates[:, 0])]
+        pivots += [(_beta_cdf, 1.0 / (1.0 + lam / estimates[:, j]))
+                   for j, lam in enumerate(truth.lambdas, start=1)]
+        ranks = np.arange(1, self.N + 1) / self.N
+        se = math.sqrt(0.95 * 0.05 / self.N)
+        for cdf, pivot in pivots:
+            f = cdf(self.n, np.sort(pivot))
+            ks = max((ranks - f).max(), (f - (ranks - 1.0 / self.N)).max())
+            assert ks < 1.63 / math.sqrt(self.N)  # the 1 % critical value
+            # The equal-tailed 95 % interval covers the truth where the pivot's CDF is central.
+            coverage = np.mean((f >= 0.025) & (f <= 0.975))
+            assert abs(coverage - 0.95) <= 3 * se
