@@ -58,6 +58,21 @@ class _Fixed(RngState):
         return self.u.copy()
 
 
+class TestInverseTransforms:
+    # The inverse CDFs by hand, through sample_dataset with fixed uniforms.
+    def test_exponential_spacing_hand_value(self):
+        # kim-kvam, rates (2, 2): -ln(e^-1) / 2 and -ln(e^-2) / 2
+        u = np.array([[math.exp(-1.0), math.exp(-2.0)]])
+        got = sample_dataset(ModelSpec.kim_kvam(2), Params(1.0, (2.0,)), 1, _Fixed(u)).data
+        assert got[0] == pytest.approx([0.5, 1.0], rel=1e-15)
+
+    def test_rayleigh_spacing_hand_value(self):
+        # ssk k=3 s=2, rates (3, 2, 1): 1.5 / 3, 2 / 2 and, past the switch, sqrt(2 * 0.5 / 1)
+        u = np.array([[math.exp(-1.5), math.exp(-2.0), math.exp(-0.5)]])
+        got = sample_dataset(ModelSpec.ssk(3, 2), Params(1.0, (1.0, 1.0)), 1, _Fixed(u)).data
+        assert got[0] == pytest.approx([0.5, 1.0, 1.0], rel=1e-15)
+
+
 class TestDraw:
     # Every stage's exposure is -log(U): a spacing is that over the stage rate, and past the
     # ssk switch the Rayleigh root of twice that over the rate.
@@ -73,16 +88,6 @@ class TestDraw:
                               np.sqrt(2.0 * (-np.log(u[:, s:])) / rates[s:])])
         got = sample_dataset(spec, params, 200, _Fixed(u)).data
         assert got.tobytes() == expected.tobytes()
-
-    def test_hand_values(self):
-        # kim-kvam, rates (2, 2): 1 / 2 and 2 / 2; ssk k=3 s=2, rates (3, 2, 1): 1.5 / 3, 2 / 2 and,
-        # past the switch, sqrt(2 * 0.5 / 1)
-        u = np.array([[math.exp(-1.0), math.exp(-2.0)]])
-        got = sample_dataset(ModelSpec.kim_kvam(2), Params(1.0, (2.0,)), 1, _Fixed(u)).data
-        assert got[0] == pytest.approx([0.5, 1.0], rel=1e-15)
-        u = np.array([[math.exp(-1.5), math.exp(-2.0), math.exp(-0.5)]])
-        got = sample_dataset(ModelSpec.ssk(3, 2), Params(1.0, (1.0, 1.0)), 1, _Fixed(u)).data
-        assert got[0] == pytest.approx([0.5, 1.0, 1.0], rel=1e-15)
 
     @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(5), ModelSpec.ssk(5, 2)], ids=["kim-kvam", "ssk"])
     def test_draw_holds_one_matrix(self, spec):
