@@ -1,9 +1,9 @@
 """Command-line front end: simulate, fit, verify, mc-study.
 
-Exit codes are a fixed contract so pipelines can consume the tool:
-0 success, 1 malformed data, 2 usage error, 3 verification failure.
-Stdout carries only the requested artifact (CSV, JSON, or the text report);
-all diagnostics go to stderr.
+Exit codes are a fixed contract so pipelines can consume the tool: 0 on success, else the
+``exit_code`` of the error (see :mod:`loadshare.errors`), which is 2 for this module's flag
+and write faults and for a request too large for memory. Stdout carries only the requested
+artifact (CSV, JSON, or the text report); all diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,16 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import (
-    DataFileError,
-    DimensionMismatch,
-    DuplicateLifetime,
-    InvalidModel,
-    InvalidParams,
-    InvalidSampleSize,
-    NoConvergence,
-    NonPositiveLifetime,
-)
+from .errors import DataFileError, LoadShareError, NoConvergence
 from .estimate import FitResult, closed_form_mle
 from .io import format_float, json_dumps, read_params_file, read_stats, write_dataset
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
@@ -34,12 +25,11 @@ from .oracle import (
 from .simulate import RngState, mc_study, sample_dataset
 
 EXIT_OK = 0
-EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
 EXIT_VERIFY_FAILED = 3
 
 
-class _UsageError(Exception):
+class _UsageError(LoadShareError):
     """Flag combination problems detected after argparse."""
 
 
@@ -311,8 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _WriteFault(Exception):
+class _WriteFault(LoadShareError):
     """A write to stdout failed: a full disk, or a pipe closed early."""
+
+    def __init__(self, exc: OSError):
+        super().__init__(f"cannot write output: {exc}")
 
 
 class _Stdout:
@@ -350,14 +343,11 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # a fault writing stdout shows here, not at exit
         return code
-    except (DataFileError, NonPositiveLifetime, DuplicateLifetime) as exc:
+    except LoadShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (_UsageError, InvalidModel, InvalidParams, InvalidSampleSize, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
-    except _WriteFault as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:  # a request too large, such as simulate --n 10**11
+        print(f"error: out of memory: {str(exc) or 'the request is too large'}", file=sys.stderr)
         return EXIT_USAGE_ERROR
     finally:
         sys.stdout = stdout

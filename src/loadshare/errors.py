@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ``exit_code`` each gives the CLI:
+
+  1  DataFileError, NonPositiveLifetime, DuplicateLifetime: faults of the data
+  2  InvalidModel, InvalidParams, DimensionMismatch, InvalidSampleSize (the default)
+  3  NoConvergence: a maximum the oracle could not certify
+"""
 
 
 class LoadShareError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class InvalidModel(LoadShareError):
@@ -23,6 +29,7 @@ class NonPositiveLifetime(LoadShareError):
     ``row`` and ``col`` are 1-based indices into the offending data when
     known, else None.
     """
+    exit_code = 1
 
     def __init__(self, message, row=None, col=None):
         super().__init__(message)
@@ -35,6 +42,7 @@ class DuplicateLifetime(LoadShareError):
 
     ``row`` is the 1-based index of the offending system when known.
     """
+    exit_code = 1
 
     def __init__(self, message, row=None):
         super().__init__(message)
@@ -47,7 +55,9 @@ class InvalidSampleSize(LoadShareError):
 
 class NoConvergence(LoadShareError):
     """Iterative maximizer stopped without certifying a maximum."""
+    exit_code = 3
 
 
 class DataFileError(LoadShareError):
     """Dataset or parameter file is malformed, or its stage totals overflow float64."""
+    exit_code = 1

@@ -64,6 +64,12 @@ class ModelKind(str, Enum):
     SSK = "ssk"
 
 
+def _check_int(error: type, what: str, value, low=-math.inf, high=math.inf) -> None:
+    """Raise ``error`` unless ``value`` is an int, and not a bool, in [low, high)."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and low <= value < high):
+        raise error(f"{what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Model identity: hazard regime, component count k, and switch index s.
@@ -79,18 +85,15 @@ class ModelSpec:
     s: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise InvalidModel(f"k must be an integer, got {self.k!r}")
-        if self.k < 2:
-            raise InvalidModel(f"k must be at least 2, got {self.k}")
+        _check_int(InvalidModel, "k must be an integer", self.k)
+        _check_int(InvalidModel, "k must be at least 2", self.k, 2)
         if self.kind is ModelKind.KIM_KVAM:
             if self.s is not None:
                 raise InvalidModel("s is only meaningful for the ssk model")
         elif self.kind is ModelKind.SSK:
             if self.s is None:
                 raise InvalidModel("ssk model requires the switch index 's'")
-            if not isinstance(self.s, int) or isinstance(self.s, bool):
-                raise InvalidModel(f"s must be an integer, got {self.s!r}")
+            _check_int(InvalidModel, "s must be an integer", self.s)
             if not 2 <= self.s <= self.k - 1:
                 raise InvalidModel(
                     f"s must satisfy 2 <= s <= k-1, got s={self.s} with k={self.k}"
@@ -142,8 +145,10 @@ class Params:
 
 def _first_bad(values: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first entry of ``values`` (in C order) that is not finite and > 0, or None."""
+    if not values.size or (values.min() > 0 and values.max() < np.inf):  # NaN fails this too
+        return None  # so the mask below is built only for an array that holds a bad entry
     bad = ~(np.isfinite(values) & (values > 0))
-    return tuple(map(int, np.unravel_index(bad.argmax(), bad.shape))) if bad.any() else None
+    return tuple(map(int, np.unravel_index(bad.argmax(), bad.shape)))
 
 
 def _positive_matrix(data, what: str) -> np.ndarray:
@@ -230,6 +235,15 @@ def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
     return np.array((1.0, *params.lambdas))
 
 
+def _exposure(theta: float, totals, lam_full: np.ndarray) -> float:
+    """theta * S . (1, lambda...), the likelihood's exponent, in the order that keeps it finite."""
+    with np.errstate(over="ignore"):
+        exposure = theta * float(np.dot(totals, lam_full))
+        if math.isinf(exposure):  # S . lambda overflowed; theta * S may not, as at the MLE
+            exposure = float(np.dot([theta * s for s in totals], lam_full))
+    return exposure
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Everything the likelihood of one dataset under one model depends on.
@@ -248,16 +262,12 @@ class SufficientStats:
 
     def log_likelihood(self, params: Params) -> float:
         """Exact log-likelihood; see :func:`log_likelihood`."""
-        lam_full, theta = _multipliers(self.spec, params), params.theta
-        with np.errstate(over="ignore"):
-            exposure = theta * float(np.dot(self.totals, lam_full))
-            if math.isinf(exposure):  # S . lambda overflowed; theta * S may not
-                exposure = float(np.dot([theta * s for s in self.totals], lam_full))
+        exposure = _exposure(params.theta, self.totals, _multipliers(self.spec, params))
         # fsum keeps the accumulation error at one rounding of the total, so that
         # verify's loglik gap measures the estimates, not the summation order.
         return math.fsum([
             self.n * _log_factorial(self.spec.k),
-            self.n * self.spec.k * math.log(theta),
+            self.n * self.spec.k * math.log(params.theta),
             self.n * math.fsum(map(math.log, params.lambdas)),
             -exposure,
             self.log_term,
@@ -265,17 +275,11 @@ class SufficientStats:
 
     def score(self, params: Params) -> np.ndarray:
         """Log-likelihood gradient; see :func:`score`."""
-        lam_full = _multipliers(self.spec, params)
-        totals = np.array(self.totals)
-        nk, theta = self.n * self.spec.k, params.theta
+        lam_full, theta = _multipliers(self.spec, params), params.theta
         grad = np.empty(self.spec.k)
+        grad[0] = (self.n * self.spec.k - _exposure(theta, self.totals, lam_full)) / theta
         with np.errstate(over="ignore"):
-            exposure = float(totals @ lam_full)
-            if math.isinf(exposure):  # S . lambda overflowed; (theta * S) . lambda may not
-                grad[0] = (nk - float((theta * totals) @ lam_full)) / theta
-            else:
-                grad[0] = nk / theta - exposure
-            grad[1:] = self.n / lam_full[1:] - theta * totals[1:]
+            grad[1:] = self.n / lam_full[1:] - theta * np.array(self.totals[1:])
         return grad
 
 

@@ -32,6 +32,7 @@ from .model import (
     ModelSpec,
     Params,
     SpacingsMatrix,
+    _check_int,
     _closed_form,
     _first_bad,
     _multipliers,
@@ -59,8 +60,7 @@ class RngState:
     __slots__ = ("seed", "_spawn_key", "_generator")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise InvalidSampleSize(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        _check_int(InvalidSampleSize, "seed must be an integer in [0, 2**64)", seed, 0, 2**64)
         self.seed = seed
         self._spawn_key = tuple(_spawn_key)
         self._generator = np.random.Generator(
@@ -78,11 +78,10 @@ class RngState:
         redrawn so downstream logs and square roots stay finite.
         """
         u = self._generator.random(size)
-        while True:
+        while not u.all():  # the zero mask is built only when there is a zero to redraw
             zero = u == 0.0
-            if not zero.any():
-                return u
             u[zero] = self._generator.random(int(zero.sum()))
+        return u
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, spawn_key={self._spawn_key})"
@@ -129,8 +128,7 @@ def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple)
 
 def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> SpacingsMatrix:
     """n independent systems; the same draws as n successive datasets of one system."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidSampleSize(f"sample size n must be a positive integer, got {n!r}")
+    _check_int(InvalidSampleSize, "sample size n must be a positive integer", n, 1)
     # _draw_spacings checked every cell, and the fresh array is no one else's.
     return SpacingsMatrix._adopt(_draw_spacings(spec, params, rng, (n,)))
 
@@ -209,12 +207,9 @@ def mc_study(
     estimate or a summary statistic leaves the float64 range raise
     :class:`InvalidParams` naming theta and lambda.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidSampleSize(
-            f"recovery study needs n >= 2 (estimator mean is undefined at n = 1), got {n!r}"
-        )
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise InvalidSampleSize(f"reps must be a positive integer, got {reps!r}")
+    _check_int(InvalidSampleSize,
+               "recovery study needs n >= 2 (estimator mean is undefined at n = 1)", n, 2)
+    _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
     stream = rng.child(0)
     per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
     estimates = np.concatenate([

@@ -10,6 +10,7 @@ import pytest
 
 import loadshare.cli as cli
 from loadshare.cli import main
+from loadshare.errors import LoadShareError
 from loadshare.io import write_dataset
 
 
@@ -79,6 +80,54 @@ class TestWriteFaults:
             main(["fit", "--model", "kim-kvam", "--data", str(data)])
         assert sys.stdout is stdout
         assert capsys.readouterr().err == ""
+
+
+def test_every_error_class_has_an_exit_code():
+    # main exits with the exit_code of the LoadShareError it catches, so every subclass, the
+    # command line's own included, must carry one of the documented codes.
+    classes, stack = {}, [LoadShareError]
+    while stack:
+        cls = stack.pop()
+        if cls.__module__.startswith("loadshare."):
+            classes[cls.__name__] = cls.exit_code
+        stack.extend(cls.__subclasses__())
+    assert classes == {
+        "LoadShareError": 2, "InvalidModel": 2, "InvalidParams": 2, "DimensionMismatch": 2,
+        "InvalidSampleSize": 2, "_UsageError": 2, "_WriteFault": 2,
+        "DataFileError": 1, "NonPositiveLifetime": 1, "DuplicateLifetime": 1, "NoConvergence": 3,
+    }
+
+
+class TestOutOfMemory:
+    """A request too large for memory exits 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        SIMULATE + ["--n", "100000000000"],
+        ["mc-study", *SIMULATE[1:], "--n", "100000000000", "--reps", "1"],
+    ], ids=["simulate", "mc-study"])
+    def test_exits_2_with_one_error_line(self, argv):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            # In the child only: its 1.46 TiB request then fails at once, where a host that
+            # overcommits memory would grant it and kill the process later.
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = subprocess.run([sys.executable, "-m", "loadshare", *argv], capture_output=True,
+                              text=True, preexec_fn=cap_address_space)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: out of memory: Unable to allocate 1.46 TiB")
+
+    def test_memory_error_is_caught_in_process(self, capsys, monkeypatch):
+        def fail(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "sample_dataset", fail)
+        code, out, err = run_cli(capsys, *SIMULATE, "--n", "3")
+        assert (code, out, err) == (2, "", "error: out of memory: the request is too large\n")
 
 
 def test_import_builds_no_parse_table():
