@@ -19,8 +19,8 @@ from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
 from .oracle import (
     VERIFY_LOGLIK_TOL,
     VERIFY_PARAM_TOL,
+    _random_instance,
     crosscheck,
-    random_instances,
 )
 from .simulate import RngState, mc_study, sample_dataset
 
@@ -182,7 +182,8 @@ def cmd_verify(args) -> int:
             raise _UsageError("--s is not allowed with --random; each instance draws its own")
         if args.instances < 1:
             raise _UsageError(f"--instances must be at least 1, got {args.instances}")
-        instances = random_instances(args.model, args.instances, args.seed)
+        # Each instance is checked and reported before the next is drawn.
+        instances = (_random_instance(args.model, args.seed, i) for i in range(args.instances))
         checks = [
             _verify_one(i + 1, spec, data) for i, (spec, _, data) in enumerate(instances)
         ]

@@ -39,8 +39,8 @@ from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .errors import (DataFileError, DuplicateLifetime, InvalidModel, InvalidParams,
-                     NonPositiveLifetime)
+from .errors import (DataFileError, DimensionMismatch, DuplicateLifetime, InvalidModel,
+                     InvalidParams, NonPositiveLifetime)
 from .model import (ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
                     spacings_from_lifetimes)
 
@@ -471,8 +471,11 @@ def read_stats(stream: IO[str], ssk: bool, spec_for: Callable[[int], ModelSpec],
     first."""
     n, sums = 0, None
     for block in _blocks(stream, assume_lifetimes):
-        n, sums = n + len(block), _fold(block, ssk, sums)
-    return _stats(spec_for(sums.shape[1]), n, sums)
+        n, sums = n + len(block), _fold(block, 3 if ssk else 1, sums)
+    spec = spec_for(sums.shape[1])
+    if spec.kind is ModelKind.SSK and not ssk:
+        raise DimensionMismatch(f"{spec} needs the squares and logs that ssk=False leaves out")
+    return _stats(spec, n, sums)
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

@@ -295,22 +295,26 @@ def _stage_totals(spec: ModelSpec, sum_t, sum_sq=None) -> np.ndarray:
     return totals
 
 
-_FOLD_ROWS = 4096  # rows a fold adds at a time, so that its buffer stays small for any matrix
+_FOLD_ROWS = 8192  # rows a fold adds at a time, so that its buffer stays small for any matrix
 
 
-def _fold(d: np.ndarray, ssk: bool, sums: np.ndarray | None = None) -> np.ndarray:
-    """``sums`` (zeros if None) plus the column sums of spacings ``d``: row 0 sums t, and for
-    ``ssk`` rows 1 and 2 sum t*t and log t. numpy adds the rows of a C-order matrix of two or
-    more columns in order along axis 0, so seeding each sum with the carried row gives the same
-    bits however the rows are split; a single column would be summed pairwise, so none is cut."""
-    sums = np.zeros((3 if ssk else 1, d.shape[1])) if sums is None else sums
+def _fold(d: np.ndarray, parts: int, sums: np.ndarray | None = None) -> np.ndarray:
+    """``sums`` (zeros if None) plus the sums of spacings ``d`` over its first axis, the systems:
+    the first ``parts`` of t, t*t and log t, a row of ``sums`` each. numpy adds the rows of a
+    C-order buffer in order along axis 0 when a row holds two or more values, so seeding each sum
+    with the carried row gives the same bits however the rows are split; a single column would
+    be summed pairwise, so none is cut. Three callers: :func:`sufficient_stats` and
+    :func:`loadshare.io.read_stats` fold 3 parts for ssk and 1 for kim-kvam;
+    :func:`loadshare.simulate.mc_study` folds 2 or 1 (its closed form reads no log t) over the
+    (n, reps, k) spacings of a block of replications."""
+    sums = np.zeros((parts, *d.shape[1:])) if sums is None else sums
     with np.errstate(over="ignore", under="ignore"):
         for lo in range(0, len(d), _FOLD_ROWS):
-            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, d.shape[1]))
+            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, *d.shape[1:]))
             for total, part in zip(sums, (np.positive, np.square, np.log)):
                 rows[0] = total
                 part(block, out=rows[1:])
-                rows.sum(axis=0, out=total)
+                np.add.reduce(rows, axis=0, out=total)
     return sums
 
 
@@ -348,7 +352,7 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> Su
         return t
     if t.k != spec.k:
         raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
-    return _stats(spec, t.n, _fold(t.data, spec.kind is ModelKind.SSK))
+    return _stats(spec, t.n, _fold(t.data, 3 if spec.kind is ModelKind.SSK else 1))
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:

@@ -190,27 +190,24 @@ def random_instances(kind: ModelKind, count: int, seed: int):
 
     k is uniform over 2..6 (3..6 for ssk, which needs 2 <= s <= k-1), n over
     1..20, and every parameter is log-uniform in [0.1, 10]. Instance i is a
-    pure function of (seed, i).
+    pure function of (seed, i): :func:`_random_instance` draws it alone.
     """
-    kind = ModelKind(kind)
-    master = RngState(seed)
-    instances = []
-    for i in range(count):
-        rng = master.child(i)
-        k_low = 2 if kind is ModelKind.KIM_KVAM else 3
-        k = k_low + int(rng.uniform_open(()) * (7 - k_low))
-        if kind is ModelKind.KIM_KVAM:
-            spec = ModelSpec.kim_kvam(k)
-        else:
-            s = 2 + int(rng.uniform_open(()) * (k - 2))
-            spec = ModelSpec.ssk(k, s)
-        n = 1 + int(rng.uniform_open(()) * 20)
-        theta = float(_log_uniform(rng, ()))
-        lambdas = tuple(_log_uniform(rng, k - 1))
-        truth = Params(theta, lambdas)
-        data = sample_dataset(spec, truth, n, rng)
-        instances.append((spec, truth, data))
-    return instances
+    return [_random_instance(kind, seed, i) for i in range(count)]
+
+
+def _random_instance(kind: ModelKind, seed: int, i: int):
+    """Instance ``i`` of :func:`random_instances`, drawn from ``RngState(seed).child(i)``."""
+    kind, rng = ModelKind(kind), RngState(seed).child(i)
+    k_low = 2 if kind is ModelKind.KIM_KVAM else 3
+    k = k_low + int(rng.uniform_open(()) * (7 - k_low))
+    if kind is ModelKind.KIM_KVAM:
+        spec = ModelSpec.kim_kvam(k)
+    else:
+        s = 2 + int(rng.uniform_open(()) * (k - 2))
+        spec = ModelSpec.ssk(k, s)
+    n = 1 + int(rng.uniform_open(()) * 20)
+    truth = Params(float(_log_uniform(rng, ())), tuple(_log_uniform(rng, k - 1)))
+    return spec, truth, sample_dataset(spec, truth, n, rng)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ and each spacing is solved from it.
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
 replication from one stream derived once from the master seed, in fixed-size
-blocks of about ``_BLOCK_UNIFORMS`` uniforms: each block is sampled, reduced
-to stage totals and turned into closed-form estimates by whole-array numpy
-operations. Replication r takes the stream's r-th run of n*k draws, unless
-an exact zero (probability 2**-53 per draw) was redrawn before it; the
-results depend on the seed alone.
+blocks of about ``_BLOCK_UNIFORMS`` uniforms: each block is sampled, folded
+into sums of t (and t*t for ssk) by :func:`model._fold`, the fold that
+:func:`model.sufficient_stats` and :func:`io.read_stats` also call, and its
+closed-form estimates fill rows of one (reps, k) array, which the summary
+overwrites with their squared errors once it has their mean. Replication r
+takes the stream's r-th run of n*k draws, unless an exact zero (probability
+2**-53 per draw) was redrawn before it; the results depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .model import (
     _check_int,
     _closed_form,
     _first_bad,
+    _fold,
     _multipliers,
     _stage_totals,
     _survivors,
@@ -166,14 +169,12 @@ class McSummary:
 _BLOCK_UNIFORMS = 2**14
 
 
-def _block_estimates(
-    spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState
-) -> np.ndarray:
+def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int,
+                     stream: RngState) -> np.ndarray:
     """(reps, k) closed-form estimates, one row per replication drawn from ``stream``."""
     d = _draw_spacings(spec, truth, stream, (reps, n))
-    with np.errstate(over="ignore", under="ignore"):
-        squares = (d * d).sum(axis=-2) if spec.kind is ModelKind.SSK else None
-        totals = _stage_totals(spec, d.sum(axis=-2), squares)
+    sums = _fold(d.transpose(1, 0, 2), 2 if spec.kind is ModelKind.SSK else 1)  # (parts, reps, k)
+    totals = _stage_totals(spec, *sums)
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")
@@ -185,14 +186,14 @@ def _block_estimates(
     return estimates
 
 
-def mc_study(
-    spec: ModelSpec,
-    truth: Params,
-    n: int,
-    reps: int,
-    rng: RngState,
-    workers: int = 1,
-) -> McSummary:
+def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of ``x`` and their standard errors (NaN for a single row)."""
+    se = x.std(axis=0, ddof=1) / np.sqrt(len(x)) if len(x) > 1 else np.full(x.shape[1], np.nan)
+    return x.mean(axis=0), se
+
+
+def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
+             workers: int = 1) -> McSummary:
     """Simulate ``reps`` datasets of size ``n``, fit each, summarize recovery.
 
     Requires n >= 2: the closed-form rate estimate has no finite mean at
@@ -212,33 +213,18 @@ def mc_study(
     _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
     stream = rng.child(0)
     per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
-    estimates = np.concatenate([
-        _block_estimates(spec, truth, n, min(per_block, reps - lo), stream)
-        for lo in range(0, reps, per_block)
-    ])
+    estimates = np.empty((reps, spec.k))
+    for lo in range(0, reps, per_block):
+        estimates[lo : lo + per_block] = _block_estimates(
+            spec, truth, n, min(per_block, reps - lo), stream)
 
     truth_vec = truth.as_array()
     with np.errstate(all="ignore"):
-        mean = estimates.mean(axis=0)
-        errors = estimates - truth_vec
-        squared = errors**2
-        mse = squared.mean(axis=0)
+        mean, se_mean = _mean_and_se(estimates)
+        np.square(np.subtract(estimates, truth_vec, out=estimates), out=estimates)
+        mse, se_mse = _mean_and_se(estimates)
         bias = mean - truth_vec
-        if reps > 1:
-            se_mean = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
-            se_mse = squared.std(axis=0, ddof=1) / np.sqrt(reps)
-            checked = (mean, mse, bias**2, se_mean, se_mse)
-        else:
-            se_mean = np.full(spec.k, np.nan)
-            se_mse = np.full(spec.k, np.nan)
-            checked = (mean, mse, bias**2)
-    if not np.isfinite(np.concatenate(checked)).all():
+        checked = (mean, mse, bias**2) + ((se_mean, se_mse) if reps > 1 else ())
+    if not all(np.isfinite(c).all() for c in checked):
         raise _out_of_range(truth, "a Monte Carlo summary statistic")
-    return McSummary(
-        reps=reps,
-        mean_estimates=mean,
-        bias=bias,
-        mse=mse,
-        se_mean=se_mean,
-        se_mse=se_mse,
-    )
+    return McSummary(reps, mean, bias, mse, se_mean, se_mse)

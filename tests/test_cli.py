@@ -104,7 +104,8 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("argv", [
         SIMULATE + ["--n", "100000000000"],
         ["mc-study", *SIMULATE[1:], "--n", "100000000000", "--reps", "1"],
-    ], ids=["simulate", "mc-study"])
+        ["mc-study", *SIMULATE[1:], "--n", "2", "--reps", "100000000000"],
+    ], ids=["simulate", "mc-study", "mc-study-reps"])
     def test_exits_2_with_one_error_line(self, argv):
         resource = pytest.importorskip("resource")
 
@@ -510,6 +511,16 @@ class TestVerify:
         )
         assert code == 0
         assert "verified 5/5" in out
+
+    def test_random_instance_is_checked_before_the_next_is_drawn(self, capsys, monkeypatch):
+        events, draw, check = [], cli._random_instance, cli.crosscheck
+        monkeypatch.setattr(cli, "_random_instance",
+                            lambda *a: events.append(f"draw {a[-1] + 1}") or draw(*a))
+        monkeypatch.setattr(cli, "crosscheck", lambda *a: events.append("check") or check(*a))
+        code, out, _ = run_cli(capsys, "verify", "--model", "kim-kvam", "--random",
+                               "--instances", "3", "--seed", "1")
+        assert code == 0 and "verified 3/3" in out
+        assert events == ["draw 1", "check", "draw 2", "check", "draw 3", "check"]
 
     def test_s_with_random_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ import pytest
 import loadshare.io
 from loadshare import (
     DataFileError,
+    DimensionMismatch,
     DuplicateLifetime,
     ModelKind,
     ModelSpec,
@@ -18,6 +19,7 @@ from loadshare import (
     RngState,
     SpacingsMatrix,
     sample_dataset,
+    sufficient_stats,
 )
 from loadshare.io import (
     _WRITE_BLOCK_ROWS,
@@ -25,6 +27,7 @@ from loadshare.io import (
     json_dumps,
     read_dataset,
     read_params_file,
+    read_stats,
     write_dataset,
 )
 
@@ -488,3 +491,18 @@ class TestParamsFile:
         text = '{"theta": 1, "lambda": [1], "model": "kim-kvam", "k": 2, "s": null}'
         spec, _ = read_params_file(io.StringIO(text))
         assert spec == ModelSpec.kim_kvam(2)
+
+
+class TestReadStats:
+    DATA = "t1,t2,t3\n1,2,3\n0.5,0.25,4\n"
+
+    def test_ssk_model_without_ssk_sums_is_a_dimension_mismatch(self):
+        # Without ssk only the sums of t are folded; the ssk stats need those of t*t and log t.
+        with pytest.raises(DimensionMismatch, match="ssk=False"):
+            read_stats(io.StringIO(self.DATA), False, lambda k: ModelSpec.ssk(k, 2))
+
+    @pytest.mark.parametrize("ssk", [False, True])
+    def test_kim_kvam_model_reads_with_either_flag(self, ssk):
+        spec = ModelSpec.kim_kvam(3)
+        stats = read_stats(io.StringIO(self.DATA), ssk, lambda k: spec)
+        assert stats == sufficient_stats(spec, read_dataset(io.StringIO(self.DATA)))

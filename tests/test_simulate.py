@@ -14,6 +14,7 @@ from loadshare import (
     mc_study,
     sample_dataset,
 )
+from loadshare.model import _FOLD_ROWS
 from loadshare.simulate import _BLOCK_UNIFORMS, _block_estimates
 
 
@@ -242,6 +243,41 @@ class TestMcStudy:
             assert np.array_equal(s.se_mse, (errors**2).std(axis=0, ddof=1) / math.sqrt(reps))
         else:
             assert np.isnan(s.se_mean).all() and np.isnan(s.se_mse).all()
+
+    @pytest.mark.parametrize("spec,truth", [
+        (ModelSpec.kim_kvam(3), Params(1.0, (2.0, 0.5))),
+        (ModelSpec.ssk(3, 2), Params(0.7, (1.5, 0.8))),
+    ], ids=["kim-kvam", "ssk"])
+    @pytest.mark.parametrize("n,reps", [(2, _BLOCK_UNIFORMS // 6 + 5), (_FOLD_ROWS + 100, 3)],
+                             ids=["wide-blocks", "fold-split"])
+    def test_matches_reference_where_blocks_change_shape(self, spec, truth, n, reps):
+        # At n = 2 a block folds thousands of replications side by side; past _FOLD_ROWS rows a
+        # block is one replication (n * k > _BLOCK_UNIFORMS) and the fold splits it. Either way the
+        # summary equals the one taken from fitting each replication alone.
+        stream = RngState(33).child(0)
+        estimates = np.array([
+            closed_form_mle(spec, sample_dataset(spec, truth, n, stream)).params_hat.as_array()
+            for _ in range(reps)
+        ])
+        squared = (estimates - truth.as_array()) ** 2
+        s = mc_study(spec, truth, n, reps, RngState(33))
+        assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
+        assert np.array_equal(s.mse, squared.mean(axis=0))
+        assert np.array_equal(s.se_mean, estimates.std(axis=0, ddof=1) / math.sqrt(reps))
+        assert np.array_equal(s.se_mse, squared.std(axis=0, ddof=1) / math.sqrt(reps))
+
+    def test_summary_holds_two_estimate_arrays(self):
+        # The estimates are written into one (reps, k) array and summarised in place: the
+        # peak is that array and the one temporary of a standard deviation, plus a block.
+        spec, truth, reps = ModelSpec.ssk(3, 2), Params(0.7, (1.5, 0.8)), 200_000
+        mc_study(spec, truth, 10, 10, RngState(0))  # warm up
+        tracemalloc.start()
+        try:
+            mc_study(spec, truth, 10, reps, RngState(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * reps * spec.k * 8
 
     @pytest.mark.parametrize("spec,seed", [(ModelSpec.kim_kvam(4), 2004), (ModelSpec.ssk(4, 2), 2008)],
                              ids=["kim-kvam", "ssk"])
