@@ -91,9 +91,8 @@ def _read_file(path: str, what: str, read):
 
 def _read_stats(args) -> SufficientStats:
     """The stats of --data under --model and --s; a fault of the data comes before the model's."""
-    ssk, spec_for = args.model == ModelKind.SSK.value, lambda k: _build_spec(args.model, k, args.s)
-    return _read_file(args.data, "dataset",
-                      lambda handle: read_stats(handle, ssk, spec_for, args.lifetimes))
+    return _read_file(args.data, "dataset", lambda handle: read_stats(
+        handle, lambda k: _build_spec(args.model, k, args.s), args.lifetimes))
 
 
 def _fit_as_json(fit: FitResult) -> str:

@@ -15,7 +15,8 @@ reads on only to end a quoted record; the kernel takes the next chunk. An
 error's "row" is the 1-based file line its record starts on, header and blank
 lines counted; the first tie is raised after the last cell. Each chunk gives a
 checked block of spacings: :func:`read_dataset` joins them into one matrix;
-:func:`read_stats` folds each into running column sums, so memory stays O(chunk).
+:func:`read_stats` folds each into the sums its model reads, of t before the
+switch and of t*t and log t after it (:func:`model._fold`), so memory stays O(chunk).
 
 Datasets are written with each value as ``"%.17g"`` spells it, which parses
 back to the same float64; a numpy kernel spells the values where that format
@@ -39,7 +40,7 @@ from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .errors import (DataFileError, DimensionMismatch, DuplicateLifetime, InvalidModel,
+from .errors import (DataFileError, DuplicateLifetime, InvalidModel,
                      InvalidParams, NonPositiveLifetime)
 from .model import (ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
                     spacings_from_lifetimes)
@@ -463,18 +464,22 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     return SpacingsMatrix._adopt(np.concatenate(list(_blocks(stream, assume_lifetimes))))
 
 
-def read_stats(stream: IO[str], ssk: bool, spec_for: Callable[[int], ModelSpec],
+def read_stats(stream: IO[str], spec_for: Callable[[int], ModelSpec],
                assume_lifetimes: bool = False) -> SufficientStats:
-    """``sufficient_stats(spec, read_dataset(stream))`` to the bit, with no n x k matrix held:
-    each block is folded into column sums as it is read (see :func:`model._fold`; ``ssk`` adds
-    squares and logs). ``spec_for(k)`` gives the model after the last row, so data faults come
-    first."""
-    n, sums = 0, None
-    for block in _blocks(stream, assume_lifetimes):
-        n, sums = n + len(block), _fold(block, 3 if ssk else 1, sums)
-    spec = spec_for(sums.shape[1])
-    if spec.kind is ModelKind.SSK and not ssk:
-        raise DimensionMismatch(f"{spec} needs the squares and logs that ssk=False leaves out")
+    """``sufficient_stats(spec_for(k), read_dataset(stream))`` to the bit, folding each block
+    as it is read (:func:`model._fold`), so no n x k matrix is held. If ``spec_for(k)`` raises
+    on the first block's k, the rest of the file is read first: a data fault comes before it."""
+    blocks = _blocks(stream, assume_lifetimes)
+    block = next(blocks)
+    try:
+        spec = spec_for(block.shape[1])
+    except Exception:
+        for _ in blocks:
+            pass
+        raise
+    n, sums = len(block), _fold(block, spec)
+    for block in blocks:
+        n, sums = n + len(block), _fold(block, spec, sums)
     return _stats(spec, n, sums)
 
 

@@ -283,38 +283,37 @@ class SufficientStats:
         return grad
 
 
-def _stage_totals(spec: ModelSpec, sum_t, sum_sq=None) -> np.ndarray:
-    """Stage totals S_1..S_k along the last axis, from the column sums of the spacings and, for
-    ssk, of their squares. Overflow is left for the caller to detect in the result."""
+def _stage_totals(spec: ModelSpec, sums: np.ndarray) -> np.ndarray:
+    """Stage totals S_1..S_k along the last axis from :func:`_fold`'s first k rows of sums,
+    halved past the switch, where they sum t*t. Overflow is left for the caller to find."""
     w = _survivors(spec.k)
+    w[spec.s or spec.k :] *= 0.5
     with np.errstate(over="ignore"):
-        totals = w * sum_t
-        if spec.kind is ModelKind.SSK:
-            accelerating = 0.5 * w * sum_sq
-            totals = np.concatenate((totals[..., : spec.s], accelerating[..., spec.s :]), axis=-1)
-    return totals
+        return w * sums[: spec.k].T
 
 
 _FOLD_ROWS = 8192  # rows a fold adds at a time, so that its buffer stays small for any matrix
 
 
-def _fold(d: np.ndarray, parts: int, sums: np.ndarray | None = None) -> np.ndarray:
-    """``sums`` (zeros if None) plus the sums of spacings ``d`` over its first axis, the systems:
-    the first ``parts`` of t, t*t and log t, a row of ``sums`` each. numpy adds the rows of a
-    C-order buffer in order along axis 0 when a row holds two or more values, so seeding each sum
-    with the carried row gives the same bits however the rows are split; a single column would
-    be summed pairwise, so none is cut. Three callers: :func:`sufficient_stats` and
-    :func:`loadshare.io.read_stats` fold 3 parts for ssk and 1 for kim-kvam;
-    :func:`loadshare.simulate.mc_study` folds 2 or 1 (its closed form reads no log t) over the
-    (n, reps, k) spacings of a block of replications."""
-    sums = np.zeros((parts, *d.shape[1:])) if sums is None else sums
+def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.ndarray:
+    """``sums`` (zeros if None) plus the sums over the systems, ``d``'s first axis, of what
+    ``spec`` reads of the spacings ``d``: axis 1 holds the k stages, and further axes are kept.
+    The rows of ``sums`` are the sums of t for the stages before ``spec.s or k``, then of t*t
+    and of log t for the stages from there on. numpy adds a C-order buffer's rows in order along
+    axis 0 when a row holds two or more values (here k or more), so seeding it with the carried
+    sums gives the same bits however the rows are split. Callers: :func:`sufficient_stats`,
+    :func:`loadshare.io.read_stats` per chunk, :func:`loadshare.simulate.mc_study` per block."""
+    m, k = spec.s or spec.k, spec.k
+    if d.shape[1] != k:
+        raise DimensionMismatch(f"data has {d.shape[1]} columns but the model expects k={k}")
+    sums = np.zeros((2 * k - m, *d.shape[2:])) if sums is None else sums
     with np.errstate(over="ignore", under="ignore"):
         for lo in range(0, len(d), _FOLD_ROWS):
-            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, *d.shape[1:]))
-            for total, part in zip(sums, (np.positive, np.square, np.log)):
-                rows[0] = total
-                part(block, out=rows[1:])
-                np.add.reduce(rows, axis=0, out=total)
+            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, *sums.shape))
+            rows[0], rows[1:, :m] = sums, block[:, :m]
+            np.square(block[:, m:], out=rows[1:, m:k])
+            np.log(block[:, m:], out=rows[1:, k:])
+            np.add.reduce(rows, axis=0, out=sums)
     return sums
 
 
@@ -326,13 +325,13 @@ def _closed_form(n: int, totals) -> np.ndarray:
 
 
 def _stats(spec: ModelSpec, n: int, sums: np.ndarray) -> SufficientStats:
-    """The stats under ``spec`` of ``n`` rows of spacings whose column sums :func:`_fold` gave."""
-    totals = _stage_totals(spec, *sums[:2])
+    """The stats under ``spec`` of ``n`` rows of spacings whose sums :func:`_fold` gave."""
+    totals = _stage_totals(spec, sums)
     bad = _first_bad(totals)
     if bad is not None:
         raise DataFileError(f"column {bad[0] + 1}: the stage total {totals[bad]:g} is outside "
                             "the float64 range; rescale the data")
-    log_term = float(sums[2, spec.s :].sum()) if spec.kind is ModelKind.SSK else 0.0
+    log_term = float(sums[spec.k :].sum())  # 0.0 for kim-kvam, whose slice is empty
     return SufficientStats(spec, n, tuple(totals.tolist()), log_term)
 
 
@@ -350,9 +349,7 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> Su
         if t.spec != spec:
             raise DimensionMismatch(f"the stats were taken under {t.spec}, not {spec}")
         return t
-    if t.k != spec.k:
-        raise DimensionMismatch(f"data has {t.k} columns but the model expects k={spec.k}")
-    return _stats(spec, t.n, _fold(t.data, 3 if spec.kind is ModelKind.SSK else 1))
+    return _stats(spec, t.n, _fold(t.data, spec))
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:

@@ -13,10 +13,10 @@ and each spacing is solved from it.
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
 replication from one stream derived once from the master seed, in fixed-size
-blocks of about ``_BLOCK_UNIFORMS`` uniforms: each block is sampled, folded
-into sums of t (and t*t for ssk) by :func:`model._fold`, the fold that
-:func:`model.sufficient_stats` and :func:`io.read_stats` also call, and its
-closed-form estimates fill rows of one (reps, k) array, which the summary
+blocks of about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
+:func:`model.sufficient_stats` and :func:`io.read_stats`, sums each block's
+(n, k, reps) view over its n systems, so a stage is a run of replications;
+the closed-form estimates fill rows of one (reps, k) array, which the summary
 overwrites with their squared errors once it has their mean. Replication r
 takes the stream's r-th run of n*k draws, unless an exact zero (probability
 2**-53 per draw) was redrawn before it; the results depend on the seed alone.
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InvalidParams, InvalidSampleSize
 from .model import (
-    ModelKind,
     ModelSpec,
     Params,
     SpacingsMatrix,
@@ -173,8 +172,7 @@ def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int,
                      stream: RngState) -> np.ndarray:
     """(reps, k) closed-form estimates, one row per replication drawn from ``stream``."""
     d = _draw_spacings(spec, truth, stream, (reps, n))
-    sums = _fold(d.transpose(1, 0, 2), 2 if spec.kind is ModelKind.SSK else 1)  # (parts, reps, k)
-    totals = _stage_totals(spec, *sums)
+    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec))  # (reps, k)
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")

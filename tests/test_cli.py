@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import loadshare.cli as cli
+import loadshare.io
 from loadshare.cli import main
 from loadshare.errors import LoadShareError
 from loadshare.io import write_dataset
@@ -286,6 +287,15 @@ class TestFit:
         data.write_text("t1,t2,t3\n1,1,1\n")
         code, _, err = run_cli(capsys, "fit", "--model", "ssk", "--data", str(data))
         assert code == 2 and "--s" in err
+
+    @pytest.mark.parametrize("s", [["--s", "9"], []], ids=["s-out-of-range", "no-s"])
+    def test_bad_cell_in_a_later_chunk_comes_before_the_model_fault(self, tmp_path, capsys,
+                                                                   monkeypatch, s):
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 4)
+        data = tmp_path / "d.csv"
+        data.write_text("t1,t2,t3\n" + "1,2,3\n" * 4 + "1,x,3\n")
+        code, out, err = run_cli(capsys, "fit", "--model", "ssk", *s, "--data", str(data))
+        assert (code, out, err) == (1, "", "error: row 6, column 2: 'x' is not a number\n")
 
     def test_zero_entry_exits_1_citing_cell(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -12,6 +12,7 @@ from loadshare import (
     DataFileError,
     DimensionMismatch,
     DuplicateLifetime,
+    InvalidModel,
     ModelKind,
     ModelSpec,
     NonPositiveLifetime,
@@ -496,13 +497,31 @@ class TestParamsFile:
 class TestReadStats:
     DATA = "t1,t2,t3\n1,2,3\n0.5,0.25,4\n"
 
-    def test_ssk_model_without_ssk_sums_is_a_dimension_mismatch(self):
-        # Without ssk only the sums of t are folded; the ssk stats need those of t*t and log t.
-        with pytest.raises(DimensionMismatch, match="ssk=False"):
-            read_stats(io.StringIO(self.DATA), False, lambda k: ModelSpec.ssk(k, 2))
-
-    @pytest.mark.parametrize("ssk", [False, True])
-    def test_kim_kvam_model_reads_with_either_flag(self, ssk):
-        spec = ModelSpec.kim_kvam(3)
-        stats = read_stats(io.StringIO(self.DATA), ssk, lambda k: spec)
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(3), ModelSpec.ssk(3, 2)],
+                             ids=["kim-kvam", "ssk"])
+    def test_equals_the_stats_of_the_matrix(self, spec):
+        stats = read_stats(io.StringIO(self.DATA), lambda k: spec)
         assert stats == sufficient_stats(spec, read_dataset(io.StringIO(self.DATA)))
+
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(2), ModelSpec.kim_kvam(4),
+                                      ModelSpec.ssk(4, 2)], ids=["kk-k2", "kk-k4", "ssk-k4"])
+    def test_a_model_of_another_k_is_a_dimension_mismatch(self, spec):
+        # Not the sums of the model's first k columns: the stage counts must agree.
+        with pytest.raises(DimensionMismatch) as err:
+            read_stats(io.StringIO(self.DATA), lambda k: spec)
+        assert str(err.value) == f"data has 3 columns but the model expects k={spec.k}"
+
+    @pytest.mark.parametrize("header,last,error,message", [
+        ("t", "1,x,3", DataFileError, "row 6, column 2: 'x' is not a number"),
+        ("x", "2,2,3", DuplicateLifetime,
+         "row 6: system 5 contains the lifetime 2.0 twice; tied failures give a zero spacing"),
+        ("t", "1,2,3", InvalidModel, "s must satisfy 2 <= s <= k-1, got s=3 with k=3"),
+    ], ids=["bad-cell", "tie", "model-fault"])
+    def test_a_data_fault_in_a_later_chunk_comes_before_the_model_fault(
+            self, monkeypatch, header, last, error, message):
+        # spec_for fails on the first chunk's k; the chunks after it are still read.
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 4)
+        text = ",".join(f"{header}{j}" for j in (1, 2, 3)) + "\n" + "1,2,3\n" * 4 + last + "\n"
+        with pytest.raises(error) as err:
+            read_stats(io.StringIO(text), lambda k: ModelSpec.ssk(k, k))
+        assert type(err.value) is error and str(err.value) == message

@@ -198,9 +198,9 @@ class TestSufficientStats:
                 assert stats.log_likelihood(p).hex() == reference(stats, p).hex()
 
     @pytest.mark.parametrize("fold_rows", [1, 3, 4096])
-    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(2), ModelSpec.ssk(3, 2),
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(2), ModelSpec.kim_kvam(5), ModelSpec.ssk(3, 2),
                                       ModelSpec.ssk(5, 2), ModelSpec.ssk(5, 4)],
-                             ids=["kk-k2", "ssk-k3-s2", "ssk-k5-s2", "ssk-k5-s4"])
+                             ids=["kk-k2", "kk-k5", "ssk-k3-s2", "ssk-k5-s2", "ssk-k5-s4"])
     def test_blocked_sums_have_the_whole_matrix_bits(self, monkeypatch, fold_rows, spec):
         # Blocks of any size give the bits of the whole-matrix column sums, also where only
         # the last column is past the switch (numpy sums one column alone pairwise).

@@ -30,7 +30,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings, strategies as st
 
 import loadshare.io
-from loadshare import (LoadShareError, ModelKind, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck,
+from loadshare import (LoadShareError, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck,
                        sufficient_stats)
 from loadshare.cli import main
 
@@ -281,9 +281,8 @@ def test_streamed_stats_equal_matrix_stats(case, chunk_chars):
 
     expected = _stats_outcome(
         lambda: sufficient_stats(spec, loadshare.io.read_dataset(stream(), lifetimes)))
-    ssk = spec.kind is ModelKind.SSK
     with mock.patch.object(loadshare.io, "_CHUNK_CHARS", chunk_chars):
-        got = _stats_outcome(lambda: loadshare.io.read_stats(stream(), ssk, lambda k: spec, lifetimes))
+        got = _stats_outcome(lambda: loadshare.io.read_stats(stream(), lambda k: spec, lifetimes))
     assert got == expected
 
 
