@@ -503,6 +503,13 @@ class TestReadStats:
         stats = read_stats(io.StringIO(self.DATA), lambda k: spec)
         assert stats == sufficient_stats(spec, read_dataset(io.StringIO(self.DATA)))
 
+    @pytest.mark.parametrize("assume_lifetimes", [False, True])
+    def test_kim_kvam_model_reads_with_either_flag(self, assume_lifetimes):
+        # A lifetimes header reads the same whether or not lifetimes are assumed.
+        text, spec = "x1,x2,x3\n3,1,2\n4,0.5,1\n", ModelSpec.kim_kvam(3)
+        stats = read_stats(io.StringIO(text), lambda k: spec, assume_lifetimes)
+        assert stats == sufficient_stats(spec, read_dataset(io.StringIO(text)))
+
     @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(2), ModelSpec.kim_kvam(4),
                                       ModelSpec.ssk(4, 2)], ids=["kk-k2", "kk-k4", "ssk-k4"])
     def test_a_model_of_another_k_is_a_dimension_mismatch(self, spec):
