@@ -14,7 +14,7 @@ import sys
 
 from .errors import DataFileError, LoadShareError, NoConvergence
 from .estimate import FitResult, closed_form_mle
-from .io import format_float, json_dumps, read_params_file, read_stats, write_dataset
+from .io import _write_blocks, format_float, json_dumps, read_params_file, read_stats
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
 from .oracle import (
     VERIFY_LOGLIK_TOL,
@@ -22,7 +22,7 @@ from .oracle import (
     _random_instance,
     crosscheck,
 )
-from .simulate import RngState, mc_study, sample_dataset
+from .simulate import RngState, _sample_blocks, mc_study
 
 EXIT_OK = 0
 EXIT_USAGE_ERROR = 2
@@ -130,17 +130,17 @@ def _param_names(k: int) -> list[str]:
 
 def cmd_simulate(args) -> int:
     spec, params = _resolve_model_and_params(args)
-    rng = RngState(args.seed)
-    data = sample_dataset(spec, params, args.n, rng)
+    # Judged before the output is opened; each block is drawn as the writer asks for it.
+    blocks = _sample_blocks(spec, params, args.n, RngState(args.seed))
     if args.out is None or args.out == "-":
-        write_dataset(data, sys.stdout)
+        _write_blocks(blocks, spec.k, sys.stdout)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                write_dataset(data, handle)
+                _write_blocks(blocks, spec.k, handle)
         except OSError as exc:  # an unwritable path, or a full disk
             raise _UsageError(f"cannot write output file: {exc}") from None
-    print(f"n={data.n} k={data.k} seed={args.seed}", file=sys.stderr)
+    print(f"n={args.n} k={spec.k} seed={args.seed}", file=sys.stderr)
     return EXIT_OK
 
 

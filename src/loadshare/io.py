@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import re
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -202,12 +202,23 @@ def write_dataset(spacings, stream: IO[str]) -> None:
     either way.
     """
     data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings, float)
-    k = data.shape[1]
+    blocks = (data[i : i + _WRITE_BLOCK_ROWS] for i in range(0, len(data), _WRITE_BLOCK_ROWS))
+    _write_blocks(blocks, data.shape[1], stream)
+
+
+def _write_blocks(blocks: Iterable[np.ndarray], k: int, stream: IO[str]) -> None:
+    """:func:`write_dataset` of the rows of ``blocks``, (rows, k) arrays of at most
+    ``_WRITE_BLOCK_ROWS`` rows each, every block written as it comes. The header goes first."""
     stream.write(",".join(f"t{j + 1}" for j in range(k)) + "\n")
     seps = np.resize(np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64),
-                     min(len(data), _WRITE_BLOCK_ROWS) * k) << 56
-    for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-        values = data[start : start + _WRITE_BLOCK_ROWS].ravel()
+                     _WRITE_BLOCK_ROWS * k) << 56
+    # A block's temporaries take some 300 bytes a value. glibc hands the top of its heap back
+    # once twice its mmap threshold lies free there, and each block would fault it in again;
+    # freeing an untouched mapped array of 256 bytes a value raises that threshold to its size.
+    # For the same reason the last block's arrays live on while the next block is drawn.
+    np.empty((32, _WRITE_BLOCK_ROWS * k))
+    for block in blocks:
+        values = block.ravel()
         text, keep, ok = _fixed_rows(values)
         text[:, 3] |= seps[: len(values)]
         keep[:, 3] |= 1 << 56

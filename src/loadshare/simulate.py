@@ -10,6 +10,15 @@ failure, so the stage spacing is Rayleigh. Either way the stage's exposure
 (rate * t, or rate * t**2 / 2 past the switch) is a unit exponential, -log U,
 and each spacing is solved from it.
 
+The parameters are judged before anything is drawn: the uniforms of
+``Generator.random`` lie in [2**-53, 1 - 2**-53], so every exposure lies in
+about [1.1e-16, 36.74], and each spacing is monotone in its exposure. If every
+stage's spacing is finite and > 0 at both ends, no draw can fail. So
+``simulate`` draws and writes ``_WRITE_BLOCK_ROWS`` rows at a time, reading the
+stream as one matrix would (an exact zero, probability 2**-53 per draw, is
+redrawn after its own block), and :func:`sample_dataset` fills its matrix from
+the same blocks.
+
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
 replication from one stream derived once from the master seed, in fixed-size
@@ -18,17 +27,19 @@ blocks of about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
 (n, k, reps) view over its n systems, so a stage is a run of replications;
 the closed-form estimates fill rows of one (reps, k) array, which the summary
 overwrites with their squared errors once it has their mean. Replication r
-takes the stream's r-th run of n*k draws, unless an exact zero (probability
-2**-53 per draw) was redrawn before it; the results depend on the seed alone.
+takes the stream's r-th run of n*k draws, unless an exact zero was redrawn
+before it; the results depend on the seed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidParams, InvalidSampleSize
+from .io import _WRITE_BLOCK_ROWS
 from .model import (
     ModelSpec,
     Params,
@@ -97,24 +108,23 @@ def _out_of_range(params: Params, what: str) -> InvalidParams:
 
 
 def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
+    """The stage rates, once every spacing a draw can give is known to be finite and > 0."""
     with np.errstate(over="ignore", under="ignore"):
         rates = _survivors(spec.k) * _multipliers(spec, params) * params.theta
     bad = _first_bad(rates)
     if bad is not None:
         raise _out_of_range(params, f"stage {bad[0] + 1} the rate {rates[bad]:g}")
+    # The least and greatest exposure: Generator.random's uniforms lie in [2**-53, 1 - 2**-53].
+    ends = np.array([[1.0 - 2.0**-53], [2.0**-53]]).repeat(spec.k, 1)
+    bad = _first_bad(_draw_spacings(spec, rates, ends).T)
+    if bad is not None:
+        raise _out_of_range(params, f"stage {bad[0] + 1} a sampled spacing")
     return rates
 
 
-def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple) -> np.ndarray:
-    """Spacings of shape ``shape + (k,)``, each checked to be finite and > 0.
-
-    The uniforms become spacings in place: -log U / rate, and past the ssk
-    switch sqrt(2 * (-log U) / rate). A stage rate can be valid yet so small
-    (or large) that its spacing overflows (or underflows to 0); that is a
-    fault of the parameters.
-    """
-    rates = _stage_rates(spec, params)
-    t = rng.uniform_open((*shape, spec.k))
+def _draw_spacings(spec: ModelSpec, rates: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The uniforms ``t`` (..., k) become spacings in place: -log U / rate, and past the ssk
+    switch sqrt(2 * (-log U) / rate)."""
     rayleigh = t[..., spec.s or spec.k :]  # the stages past the switch; none in kim-kvam
     with np.errstate(all="ignore"):
         np.log(t, out=t)
@@ -122,17 +132,27 @@ def _draw_spacings(spec: ModelSpec, params: Params, rng: RngState, shape: tuple)
         rayleigh *= 2.0
         t /= rates
         np.sqrt(rayleigh, out=rayleigh)
-    bad = _first_bad(t)
-    if bad is not None:
-        raise _out_of_range(params, f"stage {bad[-1] + 1} a sampled spacing")
     return t
+
+
+def _sample_blocks(spec: ModelSpec, params: Params, n: int, rng: RngState) -> Iterator[np.ndarray]:
+    """The rows of :func:`sample_dataset`, ``_WRITE_BLOCK_ROWS`` at a time. n and the parameters
+    are judged now; each block is drawn only when it is asked for."""
+    _check_int(InvalidSampleSize, "sample size n must be a positive integer", n, 1)
+    rates = _stage_rates(spec, params)
+    rows = _WRITE_BLOCK_ROWS
+    return (_draw_spacings(spec, rates, rng.uniform_open((min(rows, n - lo), spec.k)))
+            for lo in range(0, n, rows))
 
 
 def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> SpacingsMatrix:
     """n independent systems; the same draws as n successive datasets of one system."""
-    _check_int(InvalidSampleSize, "sample size n must be a positive integer", n, 1)
-    # _draw_spacings checked every cell, and the fresh array is no one else's.
-    return SpacingsMatrix._adopt(_draw_spacings(spec, params, rng, (n,)))
+    blocks = _sample_blocks(spec, params, n, rng)
+    data = np.empty((n, spec.k))
+    for lo, block in zip(range(0, n, _WRITE_BLOCK_ROWS), blocks):
+        data[lo : lo + len(block)] = block
+    # _stage_rates judged every spacing a draw can give, and the fresh array is no one else's.
+    return SpacingsMatrix._adopt(data)
 
 
 @dataclass(frozen=True)
@@ -168,10 +188,11 @@ class McSummary:
 _BLOCK_UNIFORMS = 2**14
 
 
-def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int,
-                     stream: RngState) -> np.ndarray:
-    """(reps, k) closed-form estimates, one row per replication drawn from ``stream``."""
-    d = _draw_spacings(spec, truth, stream, (reps, n))
+def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState,
+                     rates: np.ndarray) -> np.ndarray:
+    """(reps, k) closed-form estimates, one row per replication drawn from ``stream`` at the
+    stage ``rates`` of ``truth``."""
+    d = _draw_spacings(spec, rates, stream.uniform_open((reps, n, spec.k)))
     totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec))  # (reps, k)
     bad = _first_bad(totals)
     if bad is not None:
@@ -209,12 +230,12 @@ def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
     _check_int(InvalidSampleSize,
                "recovery study needs n >= 2 (estimator mean is undefined at n = 1)", n, 2)
     _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
-    stream = rng.child(0)
+    stream, rates = rng.child(0), _stage_rates(spec, truth)
     per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
     estimates = np.empty((reps, spec.k))
     for lo in range(0, reps, per_block):
         estimates[lo : lo + per_block] = _block_estimates(
-            spec, truth, n, min(per_block, reps - lo), stream)
+            spec, truth, n, min(per_block, reps - lo), stream, rates)
 
     truth_vec = truth.as_array()
     with np.errstate(all="ignore"):

@@ -10,9 +10,10 @@ import pytest
 
 import loadshare.cli as cli
 import loadshare.io
+from loadshare import ModelSpec, Params, RngState, sample_dataset
 from loadshare.cli import main
 from loadshare.errors import LoadShareError
-from loadshare.io import write_dataset
+from loadshare.io import _WRITE_BLOCK_ROWS, write_dataset
 
 
 def run_cli(capsys, *argv):
@@ -99,35 +100,54 @@ def test_every_error_class_has_an_exit_code():
     }
 
 
+def _cap_address_space():
+    # In the child only: a request past 2 GiB then fails at once, where a host that
+    # overcommits memory would grant it and kill the process later.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestOutOfMemory:
     """A request too large for memory exits 2 with one error line, not a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        SIMULATE + ["--n", "100000000000"],
         ["mc-study", *SIMULATE[1:], "--n", "100000000000", "--reps", "1"],
         ["mc-study", *SIMULATE[1:], "--n", "2", "--reps", "100000000000"],
-    ], ids=["simulate", "mc-study", "mc-study-reps"])
+    ], ids=["mc-study", "mc-study-reps"])
     def test_exits_2_with_one_error_line(self, argv):
-        resource = pytest.importorskip("resource")
-
-        def cap_address_space():
-            # In the child only: its 1.46 TiB request then fails at once, where a host that
-            # overcommits memory would grant it and kill the process later.
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        pytest.importorskip("resource")
         done = subprocess.run([sys.executable, "-m", "loadshare", *argv], capture_output=True,
-                              text=True, preexec_fn=cap_address_space)
+                              text=True, preexec_fn=_cap_address_space)
         assert done.returncode == 2
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: out of memory: Unable to allocate 1.46 TiB")
 
+    def test_simulate_past_memory_streams_until_the_pipe_closes(self):
+        # simulate holds one block at a time, so 10**11 rows (1.46 TiB as one matrix) start
+        # at once under the same limit; closing the pipe after the header ends the run.
+        pytest.importorskip("resource")
+        child = subprocess.Popen([sys.executable, "-m", "loadshare", *SIMULATE, "--n", "100000000000"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 preexec_fn=_cap_address_space)
+        try:
+            assert child.stdout.readline() == "t1,t2\n"
+            child.stdout.close()
+            code = child.wait(timeout=10)
+        finally:
+            child.kill()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert code == 2
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
     def test_memory_error_is_caught_in_process(self, capsys, monkeypatch):
         def fail(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "sample_dataset", fail)
+        monkeypatch.setattr(cli, "_sample_blocks", fail)
         code, out, err = run_cli(capsys, *SIMULATE, "--n", "3")
         assert (code, out, err) == (2, "", "error: out of memory: the request is too large\n")
 
@@ -245,6 +265,62 @@ class TestSimulate:
         pfile.write_text('{"theta": 1.0, "lambda": [1.0], "model": "kim-kvam", "k": 2, "x": 0}')
         code, _, err = run_cli(capsys, "simulate", "--params", str(pfile), "--n", "2")
         assert code == 2 and "unknown keys" in err
+
+    @pytest.mark.parametrize("n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
+                                   _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("spec, flags", [
+        (ModelSpec.kim_kvam(3), ["--model", "kim-kvam", "--k", "3"]),
+        (ModelSpec.ssk(4, 2), ["--model", "ssk", "--k", "4", "--s", "2"]),
+    ], ids=["kim-kvam", "ssk"])
+    def test_streamed_bytes_equal_the_matrix_written(self, tmp_path, capsys, spec, flags, n):
+        # simulate writes each block as it is drawn; the bytes are those of the whole matrix.
+        params = Params(0.8, (1.5, 0.6, 2.5)[: spec.k - 1])
+        expected = io.StringIO()
+        write_dataset(sample_dataset(spec, params, n, RngState(11)), expected)
+        argv = ["simulate", *flags, "--theta", "0.8", "--lambda", ",".join(map(str, params.lambdas)),
+                "--n", str(n), "--seed", "11"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == expected.getvalue()
+        path = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_spacing_that_could_overflow_is_rejected_before_output(self, tmp_path, capsys, seed):
+        # The stage-1 rate 2e-307 is valid, and most draws give a finite spacing; the largest
+        # exposure, -log(2**-53), overflows. So every seed is refused, and nothing is written.
+        path = tmp_path / "out.csv"
+        argv = ["simulate", "--model", "kim-kvam", "--k", "2", "--theta", "1e-307", "--lambda", "1",
+                "--n", "3", "--seed", str(seed)]
+        expected = ("error: theta=1e-307 and lambda=1 give stage 1 a sampled spacing outside "
+                    "the float64 range\n")
+        assert run_cli(capsys, *argv) == (2, "", expected)
+        assert run_cli(capsys, *argv, "--out", str(path)) == (2, "", expected)
+        assert not path.exists()
+
+
+class TestSimulateMemory:
+    """simulate draws and writes one block at a time, so its peak memory does not grow with
+    the rows."""
+
+    def test_peak_does_not_grow_with_rows(self, tmp_path, capsys):
+        def simulate(n):
+            return main(["simulate", "--model", "ssk", "--k", "5", "--s", "2", "--theta", "1",
+                         "--lambda", "1.5,0.8,2,1.2", "--n", str(n), "--seed", "3",
+                         "--out", str(tmp_path / f"{n}.csv")])
+
+        simulate(10)  # warm up
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                code = simulate(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().out == ""
+        # The 200k x 5 matrix alone would differ by 7.2 MB.
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 class TestFit:

@@ -14,8 +14,8 @@ from loadshare import (
     mc_study,
     sample_dataset,
 )
-from loadshare.model import _FOLD_ROWS
-from loadshare.simulate import _BLOCK_UNIFORMS, _block_estimates
+from loadshare.model import _FOLD_ROWS, _multipliers, _survivors
+from loadshare.simulate import _BLOCK_UNIFORMS, _block_estimates, _draw_spacings, _stage_rates
 
 
 class TestRngState:
@@ -103,6 +103,45 @@ class TestDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 200_000 * 5 * 8
+
+
+class TestUpFrontJudgement:
+    """Generator.random's uniforms lie in [2**-53, 1 - 2**-53] and each spacing is monotone in
+    its exposure, so _stage_rates judges the parameters by the spacings at those two ends. Its
+    verdict must be that of the draw itself fed the two ends, on both sides of each limit."""
+
+    @staticmethod
+    def drawn_ok(spec, theta):
+        params = Params(theta, (1.0,) * (spec.k - 1))
+        with np.errstate(over="ignore", under="ignore"):
+            rates = _survivors(spec.k) * _multipliers(spec, params) * theta
+        u = np.array([[2.0**-53] * spec.k, [1.0 - 2.0**-53] * spec.k])
+        t = _draw_spacings(spec, rates, _Fixed(u).uniform_open((2, spec.k)))
+        return bool(np.all(np.isfinite(t) & (t > 0)))
+
+    @staticmethod
+    def judged_ok(spec, theta):
+        try:
+            _stage_rates(spec, Params(theta, (1.0,) * (spec.k - 1)))
+        except InvalidParams as exc:
+            assert f"theta={theta:g}" in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(3), ModelSpec.ssk(3, 2)], ids=["kim-kvam", "ssk"])
+    @pytest.mark.parametrize("ok, bad", [(1.0, 1e-310), (1.0, 1.7e308)], ids=["low", "high"])
+    def test_verdict_is_the_draws_at_both_ends(self, spec, ok, bad):
+        # Bisect theta, as the bits of a positive double, to two neighbours the draw tells apart.
+        ok, bad = np.array([ok, bad]).view(np.int64)
+        while abs(int(bad) - int(ok)) > 1:
+            mid = ok + (bad - ok) // 2
+            if self.drawn_ok(spec, float(mid.view(float))):
+                ok = mid
+            else:
+                bad = mid
+        ok, bad = float(ok.view(float)), float(bad.view(float))
+        assert self.drawn_ok(spec, ok) and not self.drawn_ok(spec, bad)
+        assert self.judged_ok(spec, ok) and not self.judged_ok(spec, bad)
 
 
 class TestSampleSystem:
@@ -347,7 +386,8 @@ class TestExactLaw:
         (ModelSpec.ssk(4, 2), Params(0.7, (1.5, 0.8, 2.0)), 2008),
     ], ids=["kim-kvam", "ssk"])
     def test_pivots_follow_their_exact_laws(self, spec, truth, seed):
-        estimates = _block_estimates(spec, truth, self.n, self.N, RngState(seed))
+        estimates = _block_estimates(spec, truth, self.n, self.N, RngState(seed),
+                                     _stage_rates(spec, truth))
         pivots = [(_gamma_cdf, self.n * truth.theta / estimates[:, 0])]
         pivots += [(_beta_cdf, 1.0 / (1.0 + lam / estimates[:, j]))
                    for j, lam in enumerate(truth.lambdas, start=1)]
