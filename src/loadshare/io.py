@@ -28,6 +28,7 @@ Parameter files are JSON objects with keys ``theta``, ``lambda``, ``model``,
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import functools
@@ -55,17 +56,18 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^([tx])(\d+)$")
-# Rows formatted per write: large enough to amortise the numpy calls, small enough
-# that the block's 32-byte text rows stay a few hundred kB.
+# Rows formatted per block, for which the writer holds 144 bytes a value of buffers. It writes
+# the text of _WRITE_PIECE values at a time, a few tens of kB, which the heap serves.
 _WRITE_BLOCK_ROWS = 4096
+_WRITE_PIECE = 1024
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64 (see _product)
 _WORD = np.dtype("<u8")  # 8 text bytes, the first in the low byte
-_ZEROS = 0x3030303030303030  # the word b"00000000"
 _DOTS = 0x2E2E2E2E2E2E2E2E  # the word b"........"
 _ONES = 0x0101010101010101  # 8 bytes of numpy True
 # _PREFIX[j]: a 32-byte row whose bytes 0..j-1 are 0xFF, as 4 words.
 _PREFIX = np.array([[255] * j + [0] * (32 - j) for j in range(33)], np.uint8).view(_WORD)
 _PREFIX_T = np.ascontiguousarray(_PREFIX.T)  # _PREFIX_T[w, j]: word w of _PREFIX[j]
+_POINT = (_PREFIX[1:] ^ _PREFIX[:-1]) & _DOTS  # _POINT[j]: a row with "." at byte j
 _DIGITS_T = np.uint64(0x0F0F0F0F0F0F0F0F) & ~_PREFIX_T  # the low 4 bits of the bytes from j on
 _CHUNK_CHARS = 3 << 16  # characters of whole data lines per chunk for the parse kernel
 # The parse kernel (see read_dataset): the rank of each byte of a cell that is not a digit, in
@@ -127,57 +129,56 @@ def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray,
     return a, err
 
 
-def _digits8(v: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each ``v < 10**8`` as byte values 0-9 of a word, first digit in
-    the low byte: the halves, quarters and eighths are split lane by lane, dividing by 100 and
-    10 as multiplications and shifts that are exact for lanes below 10**4 and 100."""
-    q = v // 10000
-    x = q | (v - q * 10000) << 32
-    q = (x * 10486) >> 20 & 0x0000007F0000007F
-    x = q | (x - q * 100) << 16
-    q = (x * 103) >> 10 & 0x000F000F000F000F
-    return q | (x - q * 10) << 8
-
-
-def _fixed_rows(x: np.ndarray):
-    """Text rows of the values ``x`` that ``"%.17g"`` prints in fixed notation.
-
-    Returns ``(text, keep, ok)``: 32-byte rows as 4 words each, the 0/1 bytes of each row
-    that belong to the value's text, and which values are certified (see :func:`write_dataset`);
-    the rows of the others hold nothing of use. Byte 31 of every row is left for a separator.
-    """
-    fixed = (x >= 1e-4) & (x < 1e17)
-    xs = np.where(fixed, x, 1.0)
-    p = np.clip(16.0 - np.floor(np.log10(xs)), 0.0, 20.0).astype(np.intp)
-    a, err = _product(xs, _TENS.take(p), np.empty((6, len(xs))))  # a + err == xs * 10**p
-    low = np.floor(err)
-    frac = err - low
-    integral = a >= 1e16  # above 2**53, so a is an integer
-    n = np.where(integral, a, 0.0).astype(np.int64) + low.astype(np.int64)
-    digits = n + (frac > 0.5)
-    ok = fixed & integral & (n >= 10**16) & (digits < 10**17) & (frac != 0.5)
-    digits[~ok] = 10**16
-    e = np.where(ok, 16 - p, 0)
-    # Row bytes 0-23: "0000000" and the 17 digits; the point goes before byte s.
-    digits = digits.astype(np.uint64)
-    head = digits // 10**8
-    mid, tail = _digits8(head % 10**8), _digits8(digits - head * 10**8)
-    text = np.stack([_ZEROS + (head // 10**8 << 56), mid + _ZEROS, tail + _ZEROS,
-                     np.zeros_like(mid)], axis=1, dtype=_WORD)
-    # Row byte of the last nonzero digit, from the highest set bit of its word.
-    last = np.where(tail != 0, 16 + (np.frexp(tail.astype(float))[1] - 1) // 8,
-                    np.where(mid != 0, 8 + (np.frexp(mid.astype(float))[1] - 1) // 8, 7))
-    s = e + 8
-    shifted = text.ravel() << 8  # row byte j moves to j + 1
-    shifted[1:] |= text.ravel()[:-1] >> 56
-    before, upto = _PREFIX.take(s, axis=0), _PREFIX.take(s + 1, axis=0)
-    text &= before
-    text |= shifted.reshape(text.shape) & ~upto
-    text |= (upto ^ before) & _DOTS
-    # Keep from the integer part's first digit; up to the last nonzero digit, or the point.
-    end = np.where(last >= s, last + 2, s)
-    keep = _PREFIX.take(end, axis=0) & ~_PREFIX.take(7 + np.minimum(e, 0), axis=0) & _ONES
-    return text, keep.astype(_WORD, copy=False), ok
+def _fixed_rows(x: np.ndarray, work: np.ndarray, text: np.ndarray, keep: np.ndarray,
+                quads: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Text rows of the values ``x`` that ``"%.17g"`` prints in fixed notation: ``text`` gets
+    32-byte rows as 4 words each and ``keep`` the 0/1 bytes of each row that belong to the
+    value's text. Returns which values are certified (see :func:`write_dataset`); the rows of
+    the others hold nothing of use. Byte 31 of every row is left for a separator. ``work`` is
+    scratch, 10 float64 rows of len(x), the last for two rows of flags. ``quads[q]`` is the text
+    "%04d" of q as a 4-byte word, ``last[q]`` the index in it of its last nonzero digit, or -99."""
+    ints, (ok, flag) = work.view(np.int64), work[9].view(bool)[: 2 * len(x)].reshape(2, -1)
+    xs, tens, p = work[6], work[7], ints[8]
+    np.logical_and(np.greater_equal(x, 1e-4, out=ok), np.less(x, 1e17, out=flag), out=ok)  # fixed
+    np.fmin(np.fmax(x, 1e-4, out=xs), 1e17, out=xs)  # finite and > 0 where x is not fixed
+    np.floor(np.log10(xs, out=tens), out=tens)
+    np.clip(np.subtract(16.0, tens, out=tens), 0.0, 20.0, out=tens)
+    np.copyto(p, tens, casting="unsafe")
+    a, err = _product(xs, np.take(_TENS, p, out=tens, mode="clip"), work[:6])  # a + err == xs * 10**p
+    frac = np.subtract(err, np.floor(err, out=work[2]), out=err)  # exact, as is floor(err)
+    np.copyto(ints[6:8], work[0:3:2], casting="unsafe")  # a and floor(err)
+    n = np.add(*ints[6:8], out=ints[6])  # the floor of xs * 10**p from 10**16 on
+    digits = np.add(n, np.greater(frac, 0.5, out=flag), out=ints[0])
+    ok &= np.greater_equal(n, 10**16, out=flag)
+    ok &= np.less(digits, 10**17, out=flag)
+    ok &= np.not_equal(frac, 0.5, out=flag)
+    s = np.subtract(24, p, out=p)  # E + 8: the point goes before row byte s
+    groups, spare = ints[:5], ints[7]  # the 17 digits as the first one and four groups of 4
+    for group in groups[:0:-1]:  # from the last; the first digit ends in groups[0]
+        np.floor_divide(digits, 10**4, out=spare)
+        np.subtract(digits, np.multiply(spare, 10**4, out=group), out=group)
+        digits, spare = spare, digits
+    lanes, spelled = text.view(quads.dtype), work[5:8].view(quads.dtype).ravel()[: groups.size]
+    text[:, 0], text[:, 3] = quads[0], 0  # row bytes 0-23: "0000000" and the 17 digits
+    lanes[:, 1:6] = np.take(quads, groups, out=spelled.reshape(groups.shape), mode="clip").T
+    # Keep up to the last nonzero digit, row byte 4 * (group + 1) + last, or up to the point.
+    spelled = np.take(last, groups, out=spelled.view(last.dtype).reshape(groups.shape), mode="clip")
+    spelled += np.arange(4, 24, 4, dtype=last.dtype)[:, None]
+    end = np.max(spelled, axis=0, out=ints[0])
+    np.less(end, s, out=flag)
+    np.copyto(np.add(end, 2, out=end), s, where=flag)
+    shifted = ints[1:5].view(_WORD).reshape(text.shape)
+    shifted.view(np.uint8).ravel()[1:] = text.view(np.uint8).ravel()[:-1]  # row byte j to j + 1
+    shifted |= np.take(_PREFIX[1:], s, axis=0, out=keep, mode="clip")  # keep is scratch until the end
+    shifted ^= keep  # the bytes after the point
+    shifted |= np.take(_POINT, s, axis=0, out=keep, mode="clip")
+    text &= np.take(_PREFIX, s, axis=0, out=keep, mode="clip")
+    text |= shifted
+    lead = np.subtract(np.minimum(s, 8, out=s), 1, out=s)  # the first digit, or the 0 before "."
+    np.take(_PREFIX, end, axis=0, out=keep, mode="clip")
+    keep ^= np.take(_PREFIX, lead, axis=0, out=shifted, mode="clip")
+    keep &= _ONES
+    return ok
 
 
 def write_dataset(spacings, stream: IO[str]) -> None:
@@ -187,12 +188,10 @@ def write_dataset(spacings, stream: IO[str]) -> None:
     rows at a time. ``"%.17g"`` prints x in fixed notation exactly when its decimal exponent
     E, after rounding to 17 significant digits, is in [-4, 16]. For x in [1e-4, 1e17) the
     block kernel takes p = 16 - floor(log10 x), clipped to [0, 20], so 10**p is an exact
-    double. Veltkamp's split cuts x and 10**p into halves of at most 26 bits, whose four
-    products are exact, and Dekker's sums recover the rounding error of a = fl(x * 10**p):
-    a + err == x * 10**p exactly (round to nearest, and nothing overflows or underflows in
-    this range). a is an integer once it is at least 1e16 > 2**53, so N = a + floor(err) is
-    the exact floor of x * 10**p. x >= 1e-4 and p <= 20 make err a multiple of 2**-46, so
-    its fraction err - floor(err) is a double and exact as well. A value is certified when
+    double, and :func:`_product` gives a + err == x * 10**p exactly (nothing overflows or
+    underflows in this range). N = a + floor(err) is the exact floor of x * 10**p where a is
+    above 2**53, so an integer, and below 10**16 elsewhere. x >= 1e-4 and p <= 20 make err a
+    multiple of 2**-46, so its fraction err - floor(err) is exact too. A value is certified when
     10**16 <= N, the fraction is not exactly 1/2, and D = N + (fraction > 1/2) < 10**17;
     then E = 16 - p and D is the 17 digits. (D reaches 10**17 only for x within 5e-18 below
     a power of ten, where no double lies in this range; such a value would fall back.)
@@ -208,27 +207,28 @@ def write_dataset(spacings, stream: IO[str]) -> None:
 
 def _write_blocks(blocks: Iterable[np.ndarray], k: int, stream: IO[str]) -> None:
     """:func:`write_dataset` of the rows of ``blocks``, (rows, k) arrays of at most
-    ``_WRITE_BLOCK_ROWS`` rows each, every block written as it comes. The header goes first."""
+    ``_WRITE_BLOCK_ROWS`` rows each, every block written as it comes. The header goes first.
+    The kernel's buffers, for ``_WRITE_BLOCK_ROWS * k`` values, are allocated once and held; a
+    short block uses their front."""
     stream.write(",".join(f"t{j + 1}" for j in range(k)) + "\n")
-    seps = np.resize(np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64),
-                     _WRITE_BLOCK_ROWS * k) << 56
-    # A block's temporaries take some 300 bytes a value. glibc hands the top of its heap back
-    # once twice its mmap threshold lies free there, and each block would fault it in again;
-    # freeing an untouched mapped array of 256 bytes a value raises that threshold to its size.
-    # For the same reason the last block's arrays live on while the next block is drawn.
-    np.empty((32, _WRITE_BLOCK_ROWS * k))
+    seps = np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64) << 56
+    n = np.arange(10**4, dtype=np.uint32)  # the tables of _fixed_rows, built here, not at import
+    quads = (n // 1000 | n // 100 % 10 << 8 | n // 10 % 10 << 16 | n % 10 << 24 | 0x30303030).astype("<u4")
+    last = np.where(n, 3 - (n % 10 == 0) - (n % 100 == 0) - (n % 1000 == 0), -99).astype(np.int32)
+    work, words = np.empty(10 * _WRITE_BLOCK_ROWS * k), np.empty((2, _WRITE_BLOCK_ROWS * k, 4), _WORD)
     for block in blocks:
         values = block.ravel()
-        text, keep, ok = _fixed_rows(values)
-        text[:, 3] |= seps[: len(values)]
+        text, keep = words[:, : len(values)]
+        ok = _fixed_rows(values, work[: 10 * len(values)].reshape(10, -1), text, keep, quads, last)
+        text.reshape(*block.shape, 4)[:, :, 3] |= seps
         keep[:, 3] |= 1 << 56
         chars, kept = text.view(np.uint8), keep.view(bool)
-        slow = np.flatnonzero(~ok)
-        if slow.size:
-            spelled = np.array([format_float(v) for v in values[slow].tolist()], dtype="S31")
-            chars[slow, :31] = spelled.view(np.uint8).reshape(-1, 31)
-            kept[slow, :31] = chars[slow, :31] != 0
-        stream.write(chars[kept].tobytes().decode("ascii"))
+        slow = np.flatnonzero(~ok)  # the values that format_float spells
+        spelled = np.array([format_float(v) for v in values[slow].tolist()], dtype="S31")
+        chars[slow, :31] = spelled.view(np.uint8).reshape(-1, 31)
+        kept[slow, :31] = chars[slow, :31] != 0
+        for lo in range(0, len(values), _WRITE_PIECE):
+            stream.write(codecs.ascii_decode(chars[lo : lo + _WRITE_PIECE][kept[lo : lo + _WRITE_PIECE]])[0])
 
 
 def _parse_header(cells: list[str]) -> str | None:
