@@ -4,6 +4,10 @@ Exit codes are a fixed contract so pipelines can consume the tool: 0 on success,
 ``exit_code`` of the error (see :mod:`loadshare.errors`), which is 2 for this module's flag
 and write faults and for a request too large for memory. Stdout carries only the requested
 artifact (CSV, JSON, or the text report); all diagnostics go to stderr.
+
+Run as a program, the process ends with ``os._exit`` once stdout and then stderr are flushed:
+the interpreter's teardown, mostly final collections over the objects numpy made, has nothing
+left to do and cost 20-30 ms a process (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -59,16 +63,8 @@ def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
             return _read_file(args.params, "parameter file", read_params_file)
         except DataFileError as exc:
             raise _UsageError(str(exc)) from None
-    missing = [
-        flag
-        for flag, value in (
-            ("--model", args.model),
-            ("--k", args.k),
-            ("--theta", args.theta),
-            ("--lambda", args.lam),
-        )
-        if value is None
-    ]
+    flags = {"--model": args.model, "--k": args.k, "--theta": args.theta, "--lambda": args.lam}
+    missing = [flag for flag, value in flags.items() if value is None]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)} (or use --params)")
     spec = _build_spec(args.model, args.k, args.s)
@@ -354,14 +350,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:  # the fault main reported: what stdout still holds goes to the null device,
-        null = os.open(os.devnull, os.O_WRONLY)  # so that the flush at exit cannot fail
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-    sys.exit(code)
+    code = main()  # an uncaught exception, a bug, still leaves through the normal exit
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a fault writing stdout, which main has reported; its code stands
+            pass
+    # Nothing is left for the teardown to do: every file a command opens is closed by a
+    # ``with`` before main returns, and the package registers no atexit handler.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ A case may set ``"stdout": "full"`` to run with a stdout whose writes fail.
 
 For each case ``expected.json`` keeps the exit code, the stderr, the stdout
 (in full when short, else its length and sha256) and the sha256 of each file
-the run wrote. ``tests/test_golden.py`` checks every case against it. After
-a deliberate change of output, run
+the run wrote. ``tests/test_golden.py`` checks every case against it, and a
+few cases also as ``python -m loadshare`` children. After a deliberate change
+of output, run
 
     PYTHONPATH=src python tests/regen_golden.py
 
@@ -49,10 +50,9 @@ def load_cases() -> tuple[dict, list[dict]]:
     return corpus["files"], corpus["cases"]
 
 
-def run_case(case: dict, files: dict) -> dict:
-    """The observed result of one case, in the form ``expected.json`` keeps."""
-    from loadshare.cli import main
-
+@contextlib.contextmanager
+def case_dir(files: dict):
+    """A fresh directory for one case that holds every input; yields it and the inputs' names."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for path in GOLDEN.iterdir():
@@ -61,7 +61,29 @@ def run_case(case: dict, files: dict) -> dict:
         for name, text in files.items():
             # surrogateescape lets a file hold bytes that are not UTF-8 (\udcff is 0xff).
             (work / name).write_bytes(text.encode("utf-8", "surrogateescape"))
-        inputs = set(os.listdir(work))
+        yield work, set(os.listdir(work))
+
+
+def case_result(code: int, stderr: str, stdout: str, work: Path, inputs: set) -> dict:
+    """A run's result in the form ``expected.json`` keeps; ``work`` still holds what it wrote."""
+    result = {"exit": code, "stderr": stderr}
+    if len(stdout) <= _SHORT:
+        result["stdout"] = stdout
+    else:
+        result["stdout_len"] = len(stdout)
+        result["stdout_sha256"] = _sha256(stdout.encode("utf-8"))
+    written = {name: _sha256((work / name).read_bytes())
+               for name in sorted(set(os.listdir(work)) - inputs)}
+    if written:
+        result["files"] = written
+    return result
+
+
+def run_case(case: dict, files: dict) -> dict:
+    """The observed result of one case, run in-process through ``loadshare.cli.main``."""
+    from loadshare.cli import main
+
+    with case_dir(files) as (work, inputs):
         out = _FullStdout() if case.get("stdout") == "full" else io.StringIO()
         err = io.StringIO()
         cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
@@ -76,18 +98,8 @@ def run_case(case: dict, files: dict) -> dict:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
-        written = {name: _sha256((work / name).read_bytes())
-                   for name in sorted(set(os.listdir(work)) - inputs)}
-    text = "" if isinstance(out, _FullStdout) else out.getvalue()
-    result = {"exit": code, "stderr": err.getvalue()}
-    if len(text) <= _SHORT:
-        result["stdout"] = text
-    else:
-        result["stdout_len"] = len(text)
-        result["stdout_sha256"] = _sha256(text.encode("utf-8"))
-    if written:
-        result["files"] = written
-    return result
+        text = "" if isinstance(out, _FullStdout) else out.getvalue()
+        return case_result(code, err.getvalue(), text, work, inputs)
 
 
 def main() -> int:

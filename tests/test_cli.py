@@ -84,6 +84,27 @@ class TestWriteFaults:
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv, exit_code, line", [
+    (["fit", "--model", "kim-kvam", "--data", "d.csv"], 0, "theta_hat: 0.25"),
+    (["fit", "--model", "kim-kvam"], 2,
+     "loadshare fit: error: the following arguments are required: --data"),
+], ids=["fit", "usage-error"])
+def test_entry_point_ends_the_process_without_teardown(tmp_path, monkeypatch, capsys, argv,
+                                                       exit_code, line):
+    # entry_point flushes both streams and leaves by os._exit, so no atexit handler runs; the
+    # child's exit code, stdout and stderr are main's.
+    (tmp_path / "d.csv").write_text("t1,t2\n1,2\n3,5\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    code = ("import atexit, sys; from loadshare import cli; "
+            "atexit.register(lambda: print('teardown ran', file=sys.stderr)); cli.entry_point()")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+    assert done.returncode == exit_code
+    assert line in (done.stdout if exit_code == 0 else done.stderr).splitlines()
+    assert "teardown ran" not in done.stderr
+
+
 def test_every_error_class_has_an_exit_code():
     # main exits with the exit_code of the LoadShareError it catches, so every subclass, the
     # command line's own included, must carry one of the documented codes.

@@ -405,6 +405,19 @@ def power_of_two_neighbours() -> tuple[list[str], Fraction]:
     return cells, closest
 
 
+def assert_per_cell_fault(tmp_path, capsys, text, k, message):
+    """The parse kernel turns down the data lines of ``text`` (k columns), and then
+    read_dataset, read_stats and ``fit`` each report ``message``."""
+    assert loadshare.io._fast_block(text.split("\n", 1)[1], k) is None
+    for read in (read_dataset, lambda stream: read_stats(stream, ModelSpec.kim_kvam)):
+        with pytest.raises(DataFileError) as err:
+            read(io.StringIO(text, newline=""))
+        assert str(err.value) == message
+    (tmp_path / "d.csv").write_bytes(text.encode())
+    assert main(["fit", "--model", "kim-kvam", "--data", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestParseKernel:
     def test_decimals_next_to_a_power_of_two_equal_float(self):
         # Where the kernel's r > 2**E guard would act (see read_dataset): a decimal that is not
@@ -452,17 +465,17 @@ class TestParseKernel:
         # The kernel's guard on the exponent's layout turns the chunk down; float() then names the
         # cell, whichever reader or command meets it.
         text = f"t1,t2,t3\n1,2,3\n4,{cell},6\n7,8.5,9e-1\n"
-        message = f"row 3, column 2: {cell!r} is not a number"
-        assert loadshare.io._fast_block(text.split("\n", 1)[1], 3) is None
-        with pytest.raises(DataFileError) as err:
-            read_dataset(io.StringIO(text))
-        assert str(err.value) == message
-        with pytest.raises(DataFileError) as err:
-            read_stats(io.StringIO(text), ModelSpec.kim_kvam)
-        assert str(err.value) == message
-        (tmp_path / "d.csv").write_text(text)
-        assert main(["fit", "--model", "kim-kvam", "--data", str(tmp_path / "d.csv")]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert_per_cell_fault(tmp_path, capsys, text, 3, f"row 3, column 2: {cell!r} is not a number")
+
+    @pytest.mark.parametrize("text, row", [
+        ("t1,t2\n1,1\r \n2,2\n", 3),
+        ("t1,t2\n1\r ,2\n3,4\n", 2),
+        ("t1,t2\n \r1,2\n3,4\n", 2),
+    ], ids=["before-a-pad", "after-a-cell", "after-a-pad"])
+    def test_a_stray_cr_goes_to_the_per_cell_parser(self, tmp_path, capsys, text, row):
+        # A CR that does not start a CRLF ends a line for the csv module; the kernel's guard on
+        # it turns the chunk down, or the kernel would read the pads and cells around it as one.
+        assert_per_cell_fault(tmp_path, capsys, text, 2, f"row {row}: expected 2 columns, got 1")
 
 
 class TestParamsFile:
