@@ -47,11 +47,10 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 
 
 def _build_spec(model: str, k: int, s: int | None) -> ModelSpec:
-    """ModelSpec judges k and s; only a missing --s is worded here, as a flag."""
-    kind = ModelKind(model)
-    if kind is ModelKind.SSK and s is None:
+    """ModelSpec judges the kind, k and s; only a missing --s is worded here, as a flag."""
+    if model == ModelKind.SSK and s is None:
         raise _UsageError("--model ssk requires --s")
-    return ModelSpec(kind, k, s)
+    return ModelSpec(model, k, s)
 
 
 def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
@@ -322,9 +321,6 @@ class _Stdout:
             self._stream.flush()
         except OSError as exc:
             raise _WriteFault(exc) from None
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
 
 
 def main(argv=None) -> int:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DataFileError, DuplicateLifetime, InvalidModel,
                      InvalidParams, NonPositiveLifetime)
-from .model import (ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
+from .model import (ModelSpec, Params, SpacingsMatrix, SufficientStats, _fold, _stats,
                     spacings_from_lifetimes)
 
 __all__ = [
@@ -87,8 +87,6 @@ def format_float(value: float) -> str:
 
 def json_dumps(obj) -> str:
     """JSON text with floats at full precision (see :func:`format_float`)."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -500,7 +498,7 @@ _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}
 def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
     """Parse a JSON parameter file into a validated (ModelSpec, Params) pair.
 
-    This judges the JSON; ModelSpec judges k and s (null is none), Params theta and lambda.
+    This judges the JSON; ModelSpec the model, k and s (null is none), Params theta and lambda.
     """
     text = stream.read()  # outside the try: the opener words a decoding fault
     try:
@@ -518,13 +516,7 @@ def read_params_file(stream: IO[str]) -> tuple[ModelSpec, Params]:
         if key not in obj:
             raise DataFileError(f"parameter file is missing required key {key!r}")
     try:
-        kind = ModelKind(obj["model"])
-    except ValueError:
-        raise DataFileError(
-            f"model must be 'kim-kvam' or 'ssk', got {obj['model']!r}"
-        ) from None
-    try:
-        spec = ModelSpec(kind, obj["k"], obj.get("s"))
+        spec = ModelSpec(obj["model"], obj["k"], obj.get("s"))
         lam = obj["lambda"]
         if not isinstance(lam, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lam):
             raise DataFileError("lambda must be an array of numbers")

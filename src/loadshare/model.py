@@ -74,10 +74,10 @@ def _check_int(error: type, what: str, value, low=-math.inf, high=math.inf) -> N
 class ModelSpec:
     """Model identity: hazard regime, component count k, and switch index s.
 
-    ``s`` is the failure count after which the ``ssk`` regime switches from
-    constant to linearly increasing hazards; it must satisfy 2 <= s <= k-1
-    and must be None for ``kim-kvam``. This type is the only judge of k and
-    s, whether they come from flags or from a parameter file.
+    ``kind`` is a ModelKind or its value, kept as the ModelKind. ``s`` is the failure count
+    after which the ``ssk`` regime switches from constant to linearly increasing hazards; it
+    must satisfy 2 <= s <= k-1 and must be None for ``kim-kvam``. This type is the only judge
+    of the kind, k and s, whether they come from flags or from a parameter file.
     """
 
     kind: ModelKind
@@ -85,12 +85,16 @@ class ModelSpec:
     s: int | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ModelKind(self.kind))
+        except ValueError:
+            raise InvalidModel(f"model must be 'kim-kvam' or 'ssk', got {self.kind!r}") from None
         _check_int(InvalidModel, "k must be an integer", self.k)
         _check_int(InvalidModel, "k must be at least 2", self.k, 2)
         if self.kind is ModelKind.KIM_KVAM:
             if self.s is not None:
                 raise InvalidModel("s is only meaningful for the ssk model")
-        elif self.kind is ModelKind.SSK:
+        else:
             if self.s is None:
                 raise InvalidModel("ssk model requires the switch index 's'")
             _check_int(InvalidModel, "s must be an integer", self.s)
@@ -98,8 +102,6 @@ class ModelSpec:
                 raise InvalidModel(
                     f"s must satisfy 2 <= s <= k-1, got s={self.s} with k={self.k}"
                 )
-        else:  # pragma: no cover - enum is closed
-            raise InvalidModel(f"unknown model kind {self.kind!r}")
 
     @classmethod
     def kim_kvam(cls, k: int) -> "ModelSpec":

@@ -197,14 +197,11 @@ def random_instances(kind: ModelKind, count: int, seed: int):
 
 def _random_instance(kind: ModelKind, seed: int, i: int):
     """Instance ``i`` of :func:`random_instances`, drawn from ``RngState(seed).child(i)``."""
-    kind, rng = ModelKind(kind), RngState(seed).child(i)
-    k_low = 2 if kind is ModelKind.KIM_KVAM else 3
+    rng, ssk = RngState(seed).child(i), kind == ModelKind.SSK
+    k_low = 3 if ssk else 2
     k = k_low + int(rng.uniform_open(()) * (7 - k_low))
-    if kind is ModelKind.KIM_KVAM:
-        spec = ModelSpec.kim_kvam(k)
-    else:
-        s = 2 + int(rng.uniform_open(()) * (k - 2))
-        spec = ModelSpec.ssk(k, s)
+    s = 2 + int(rng.uniform_open(()) * (k - 2)) if ssk else None
+    spec = ModelSpec(kind, k, s)  # the judge of the kind as well
     n = 1 + int(rng.uniform_open(()) * 20)
     truth = Params(float(_log_uniform(rng, ())), tuple(_log_uniform(rng, k - 1)))
     return spec, truth, sample_dataset(spec, truth, n, rng)

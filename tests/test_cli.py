@@ -12,7 +12,7 @@ import loadshare.cli as cli
 import loadshare.io
 from loadshare import ModelSpec, Params, RngState, sample_dataset
 from loadshare.cli import main
-from loadshare.errors import LoadShareError
+from loadshare.errors import LoadShareError, NoConvergence
 from loadshare.io import _WRITE_BLOCK_ROWS, write_dataset
 
 
@@ -676,6 +676,26 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--model", "kim-kvam", "--data", str(data))
         assert code == 3
         assert "FAIL" in out
+
+    def test_no_convergence_is_reported_and_exits_3(self, capsys, monkeypatch):
+        calls, check = [], cli.crosscheck
+
+        def first_fails(spec, data):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise NoConvergence("stalled after 3 sweeps")
+            return check(spec, data)
+
+        monkeypatch.setattr(cli, "crosscheck", first_fails)
+        code, out, err = run_cli(capsys, "verify", "--model", "ssk", "--random",
+                                 "--instances", "2", "--seed", "4")
+        lines = out.splitlines()
+        spec = calls[0]
+        assert code == 3 and err == "" and len(calls) == 2
+        assert lines[0].startswith(f"instance 1: model=ssk k={spec.k} s={spec.s} n=")
+        assert lines[1] == "  FAIL numeric maximizer did not converge: stalled after 3 sweeps"
+        assert lines[2].startswith("instance 2: ") and lines[-2].endswith("[ok]")
+        assert lines[-1].startswith("verified 1/2 instance(s) within tolerances")
 
 
 class TestMcStudy:

@@ -49,6 +49,6 @@ def test_golden_case_in_a_child_process(case_id):
 
 
 def test_corpus_covers_every_exit_code_a_request_can_reach():
-    # 3 (verification failed) needs a failing oracle, which no fixed input gives;
-    # test_cli's test_tolerance_failure_exits_3 covers it.
+    # 3 (verification failed) needs a failing oracle, which no fixed input gives; test_cli's
+    # test_tolerance_failure_exits_3 and test_no_convergence_is_reported_and_exits_3 cover it.
     assert {result["exit"] for result in EXPECTED_RESULTS.values()} == {0, 1, 2}

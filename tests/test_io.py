@@ -67,6 +67,10 @@ class TestFormatting:
         parsed = json.loads(json_dumps({"a": np.float64(0.25), "b": np.int64(4), "c": None}))
         assert parsed == {"a": 0.25, "b": 4, "c": None}
 
+    def test_json_dumps_rejects_other_types(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            json_dumps({"a": [object()]})
+
 
 class TestDatasetRoundTrip:
     def test_write_then_read_is_exact(self):
@@ -207,6 +211,10 @@ class TestDatasetParsing:
     def test_out_of_order_header_rejected(self):
         with pytest.raises(DataFileError):
             read_dataset(io.StringIO("t2,t1\n1,2\n"))
+
+    def test_mixed_header_rejected(self):
+        with pytest.raises(DataFileError, match="header"):
+            read_dataset(io.StringIO("t1,x2\n1,2\n"))
 
     def test_separator_control_is_not_whitespace(self):
         # np.loadtxt strips "\x1c" around a number; float() does not.

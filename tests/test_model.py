@@ -69,6 +69,19 @@ class TestModelSpec:
         with pytest.raises(InvalidModel):
             ModelSpec(ModelKind.KIM_KVAM, 3, 2)
 
+    @pytest.mark.parametrize("name,spec", [("ssk", ModelSpec.ssk(3, 2)),
+                                           ("kim-kvam", ModelSpec.kim_kvam(3))])
+    def test_kind_name_is_kept_as_the_kind(self, name, spec):
+        named = ModelSpec(name, 3, spec.s)
+        assert named == spec and named.kind is spec.kind
+
+    # The kind is judged first: ("weibull", 1) has a bad k too.
+    @pytest.mark.parametrize("args", [("weibull", 2), (None, 2), (["ssk"], 3, 2), ("weibull", 1)])
+    def test_kind_outside_the_enum_is_an_invalid_model(self, args):
+        with pytest.raises(InvalidModel) as err:
+            ModelSpec(*args)
+        assert str(err.value) == f"model must be 'kim-kvam' or 'ssk', got {args[0]!r}"
+
 
 class TestParams:
     def test_coerces_and_exposes_vector(self):
@@ -112,6 +125,9 @@ class TestSpacingsMatrix:
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionMismatch):
             SpacingsMatrix([1.0, 2.0])
+
+    def test_repr_names_the_shape(self):
+        assert repr(SpacingsMatrix([[1.0, 2.0, 3.0]] * 2)) == "SpacingsMatrix(n=2, k=3)"
 
 
 def _cell_case(build, what, value):

@@ -7,6 +7,7 @@ import pytest
 import loadshare.model
 import loadshare.oracle as oracle
 from loadshare import (
+    InvalidModel,
     InvalidParams,
     ModelKind,
     ModelSpec,
@@ -226,3 +227,7 @@ class TestRandomInstances:
                 assert 0.1 <= v <= 10.0
         for spec, _, _ in random_instances(ModelKind.KIM_KVAM, 30, 11):
             assert 2 <= spec.k <= 6 and spec.s is None
+
+    def test_model_spec_judges_the_kind(self):
+        with pytest.raises(InvalidModel, match="model must be 'kim-kvam' or 'ssk', got 'weibull'"):
+            random_instances("weibull", 1, 0)

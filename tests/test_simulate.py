@@ -7,6 +7,7 @@ import pytest
 from loadshare import (
     InvalidParams,
     InvalidSampleSize,
+    McSummary,
     ModelSpec,
     Params,
     RngState,
@@ -45,6 +46,22 @@ class TestRngState:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InvalidSampleSize):
             RngState(seed)
+
+    def test_exact_zeros_are_redrawn(self):
+        draws, asked = iter([[0.5, 0.0, 0.25, 0.0], [0.0, 0.75], [0.125]]), []
+
+        class Stub:
+            def random(self, size):
+                asked.append(size)
+                return np.array(next(draws))
+
+        rng = RngState(0)
+        rng._generator = Stub()
+        assert np.array_equal(rng.uniform_open(4), [0.5, 0.125, 0.25, 0.75])
+        assert asked == [4, 2, 1]
+
+    def test_repr_names_the_seed_and_spawn_key(self):
+        assert repr(RngState(9).child(3)) == "RngState(seed=9, spawn_key=(3,))"
 
 
 class _Fixed(RngState):
@@ -236,6 +253,10 @@ class TestMcStudy:
     def test_mse_dominates_squared_bias(self):
         s = mc_study(ModelSpec.ssk(3, 2), Params(1.0, (1.0, 1.0)), 5, 500, RngState(3))
         assert np.all(s.mse >= s.bias**2 - 1e-12)
+
+    def test_summary_with_mse_below_squared_bias_is_rejected(self):
+        with pytest.raises(AssertionError, match="mse < bias"):
+            McSummary(2, [1.0, 1.0], [0.5, 0.0], [0.2, 0.0], [0.1, 0.1], [0.1, 0.1])
 
     def test_deterministic_and_worker_invariant(self):
         spec = ModelSpec.ssk(4, 2)
