@@ -301,10 +301,10 @@ def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.
     """``sums`` (zeros if None) plus the sums over the systems, ``d``'s first axis, of what
     ``spec`` reads of the spacings ``d``: axis 1 holds the k stages, and further axes are kept.
     The rows of ``sums`` are the sums of t for the stages before ``spec.s or k``, then of t*t
-    and of log t for the stages from there on. numpy adds a C-order buffer's rows in order along
-    axis 0 when a row holds two or more values (here k or more), so seeding it with the carried
-    sums gives the same bits however the rows are split. Callers: :func:`sufficient_stats`,
-    :func:`loadshare.io.read_stats` per chunk, :func:`loadshare.simulate.mc_study` per block."""
+    and, if ``sums`` has room, of log t for the stages from there on. numpy adds a C-order
+    buffer's rows in order along axis 0 when a row holds k >= 2 values, so seeding it with the
+    carried sums gives the same bits however the rows are split. Callers: sufficient_stats,
+    io.read_stats per chunk, simulate.mc_study per block (k rows: the closed form reads no log)."""
     m, k = spec.s or spec.k, spec.k
     if d.shape[1] != k:
         raise DimensionMismatch(f"data has {d.shape[1]} columns but the model expects k={k}")
@@ -314,7 +314,7 @@ def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.
             rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, *sums.shape))
             rows[0], rows[1:, :m] = sums, block[:, :m]
             np.square(block[:, m:], out=rows[1:, m:k])
-            np.log(block[:, m:], out=rows[1:, k:])
+            np.log(block[:, m : m + len(sums) - k], out=rows[1:, k:])
             np.add.reduce(rows, axis=0, out=sums)
     return sums
 

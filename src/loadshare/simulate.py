@@ -25,10 +25,10 @@ replication from one stream derived once from the master seed, in fixed-size
 blocks of about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
 :func:`model.sufficient_stats` and :func:`io.read_stats`, sums each block's
 (n, k, reps) view over its n systems, so a stage is a run of replications;
-the closed-form estimates fill rows of one (reps, k) array, which the summary
-overwrites with their squared errors once it has their mean. Replication r
-takes the stream's r-th run of n*k draws, unless an exact zero was redrawn
-before it; the results depend on the seed alone.
+each block's closed-form estimates are folded into the summary's sums as they
+are made, so memory is O(block) whatever the number of replications.
+Replication r takes the stream's r-th run of n*k draws, unless an exact zero
+was redrawn before it; the results depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -162,7 +162,11 @@ class McSummary:
     Vectors are ordered (theta, lambda_1, ..., lambda_{k-1}); ``bias`` and
     ``mse`` are taken about the true parameters given to :func:`mc_study`.
     ``se_mean`` and ``se_mse`` are the Monte Carlo standard errors of
-    ``mean_estimates`` and ``mse``; they are NaN when reps < 2.
+    ``mean_estimates`` and ``mse``, sqrt(M2 / (reps - 1) / reps) from the
+    centred sums of squares M2, NaN when reps < 2. :func:`mc_study` merges each
+    block of b replications after lo others into M2 (Chan, Golub & LeVeque
+    1979): it adds the block's centred squares and (block mean - sums / lo)**2
+    * lo * b / (lo + b), so memory is O(block) for any reps.
     """
 
     reps: int
@@ -193,7 +197,7 @@ def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int, stream: 
     """(reps, k) closed-form estimates, one row per replication drawn from ``stream`` at the
     stage ``rates`` of ``truth``."""
     d = _draw_spacings(spec, rates, stream.uniform_open((reps, n, spec.k)))
-    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec))  # (reps, k)
+    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec, np.zeros((spec.k, reps))))
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")
@@ -205,12 +209,6 @@ def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int, stream: 
     return estimates
 
 
-def _mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of ``x`` and their standard errors (NaN for a single row)."""
-    se = x.std(axis=0, ddof=1) / np.sqrt(len(x)) if len(x) > 1 else np.full(x.shape[1], np.nan)
-    return x.mean(axis=0), se
-
-
 def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
              workers: int = 1) -> McSummary:
     """Simulate ``reps`` datasets of size ``n``, fit each, summarize recovery.
@@ -218,10 +216,10 @@ def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
     Requires n >= 2: the closed-form rate estimate has no finite mean at
     n = 1, so a recovery study there is meaningless. Replications are drawn
     from the single stream ``rng.child(0)`` (``rng`` itself is not advanced)
-    and fitted in blocks of about ``_BLOCK_UNIFORMS`` uniforms, so the
-    results depend only on the master seed. ``workers`` is accepted for
-    compatibility and starts no threads: results are bit-identical for every
-    value.
+    and fitted in blocks of about ``_BLOCK_UNIFORMS`` uniforms, each summarised
+    as it is made, so the results depend only on the master seed and memory is
+    O(block) whatever ``reps`` is. ``workers`` is accepted for compatibility
+    and starts no threads: results are bit-identical for every value.
 
     Parameters so extreme that a sampled spacing, a stage total, an
     estimate or a summary statistic leaves the float64 range raise
@@ -230,18 +228,20 @@ def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
     _check_int(InvalidSampleSize,
                "recovery study needs n >= 2 (estimator mean is undefined at n = 1)", n, 2)
     _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
-    stream, rates = rng.child(0), _stage_rates(spec, truth)
+    stream, rates, truth_vec = rng.child(0), _stage_rates(spec, truth), truth.as_array()
     per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
-    estimates = np.empty((reps, spec.k))
-    for lo in range(0, reps, per_block):
-        estimates[lo : lo + per_block] = _block_estimates(
-            spec, truth, n, min(per_block, reps - lo), stream, rates)
-
-    truth_vec = truth.as_array()
+    sums, m2 = np.zeros((2, spec.k)), np.zeros((2, spec.k))  # of the estimates, squared errors
     with np.errstate(all="ignore"):
-        mean, se_mean = _mean_and_se(estimates)
-        np.square(np.subtract(estimates, truth_vec, out=estimates), out=estimates)
-        mse, se_mse = _mean_and_se(estimates)
+        for lo in range(0, reps, per_block):
+            rows = np.empty((2, spec.k, min(per_block, reps - lo) + 1))  # column 0 holds the sums
+            x, b, rows[..., 0] = rows[..., 1:], rows.shape[-1] - 1, sums
+            x[0] = _block_estimates(spec, truth, n, b, stream, rates).T
+            np.square(np.subtract(x[0], truth_vec[:, None], out=x[1]), out=x[1])
+            block_mean = x.mean(axis=-1)
+            m2 += np.square(x - block_mean[..., None]).sum(axis=-1)
+            m2 += np.square(block_mean - sums / max(lo, 1)) * (lo * b / (lo + b))
+            sums = np.add.accumulate(rows, axis=-1)[..., -1]  # in order, like numpy column sums
+        (mean, mse), (se_mean, se_mse) = sums / reps, np.sqrt(m2 / (reps - 1) / reps)
         bias = mean - truth_vec
         checked = (mean, mse, bias**2) + ((se_mean, se_mse) if reps > 1 else ())
     if not all(np.isfinite(c).all() for c in checked):

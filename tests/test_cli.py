@@ -23,6 +23,7 @@ def run_cli(capsys, *argv):
 
 
 SIMULATE = ["simulate", "--model", "kim-kvam", "--k", "2", "--theta", "1", "--lambda", "1"]
+CHILD_TIMEOUT = 120  # seconds: a child that runs on fails its test instead of hanging the suite
 
 
 def closed_stdout_run(argv, lines_read):
@@ -34,7 +35,10 @@ def closed_stdout_run(argv, lines_read):
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
-    return child.wait(), err
+    try:
+        return child.wait(timeout=CHILD_TIMEOUT), err
+    finally:
+        child.kill()
 
 
 class TestWriteFaults:
@@ -50,7 +54,7 @@ class TestWriteFaults:
                 "stdout": ["fit", "--model", "kim-kvam", "--data", str(data)]}[to]
         with open("/dev/full", "w") as full:
             done = subprocess.run([sys.executable, "-m", "loadshare", *argv], stdout=full,
-                                  stderr=subprocess.PIPE, text=True)
+                                  stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT)
         expected = "cannot write output file" if to == "out" else "cannot write output"
         assert done.returncode == 2
         assert done.stderr == f"error: {expected}: [Errno 28] No space left on device\n"
@@ -98,7 +102,8 @@ def test_entry_point_ends_the_process_without_teardown(tmp_path, monkeypatch, ca
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     code = ("import atexit, sys; from loadshare import cli; "
             "atexit.register(lambda: print('teardown ran', file=sys.stderr)); cli.entry_point()")
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT)
     assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
     assert done.returncode == exit_code
     assert line in (done.stdout if exit_code == 0 else done.stderr).splitlines()
@@ -134,12 +139,12 @@ class TestOutOfMemory:
 
     @pytest.mark.parametrize("argv", [
         ["mc-study", *SIMULATE[1:], "--n", "100000000000", "--reps", "1"],
-        ["mc-study", *SIMULATE[1:], "--n", "2", "--reps", "100000000000"],
-    ], ids=["mc-study", "mc-study-reps"])
+    ], ids=["mc-study"])
     def test_exits_2_with_one_error_line(self, argv):
+        # A block holds at least one replication, so mc-study still draws its n * k uniforms at once.
         pytest.importorskip("resource")
         done = subprocess.run([sys.executable, "-m", "loadshare", *argv], capture_output=True,
-                              text=True, preexec_fn=_cap_address_space)
+                              text=True, preexec_fn=_cap_address_space, timeout=CHILD_TIMEOUT)
         assert done.returncode == 2
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
@@ -164,6 +169,21 @@ class TestOutOfMemory:
         assert code == 2
         assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
+    def test_study_past_memory_runs_block_by_block(self):
+        # mc-study summarises each block as it is made, so no array grows with reps: 10**11
+        # replications (1.46 TiB of estimates as one array) run under the same limit, with
+        # nothing on either stream, until they are stopped.
+        pytest.importorskip("resource")
+        argv = ["mc-study", *SIMULATE[1:], "--n", "2", "--reps", "100000000000"]
+        child = subprocess.Popen([sys.executable, "-m", "loadshare", *argv], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True, preexec_fn=_cap_address_space)
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                child.wait(timeout=1.5)
+        finally:
+            child.kill()
+        assert child.communicate(timeout=CHILD_TIMEOUT) == ("", "")
+
     def test_memory_error_is_caught_in_process(self, capsys, monkeypatch):
         def fail(*args):
             raise MemoryError()
@@ -178,7 +198,8 @@ def test_import_builds_no_parse_table():
     # powers of ten is built on the first read, not at import.
     code = ("import sys, loadshare.cli, loadshare.io as io; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)), io._powers.cache_info().currsize)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          timeout=CHILD_TIMEOUT)
     assert done.stdout == "[] 0\n"
 
 

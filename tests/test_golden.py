@@ -42,7 +42,7 @@ def test_golden_case_in_a_child_process(case_id):
         with open("/dev/full", "wb") if full else contextlib.nullcontext(subprocess.PIPE) as out:
             done = subprocess.run([sys.executable, "-m", "loadshare", *case["argv"]], cwd=work,
                                   env=dict(os.environ, COLUMNS="80"), stdout=out,
-                                  stderr=subprocess.PIPE)
+                                  stderr=subprocess.PIPE, timeout=120)
         stdout = "" if full else done.stdout.decode("utf-8")
         result = case_result(done.returncode, done.stderr.decode("utf-8"), stdout, work, inputs)
     assert result == EXPECTED_RESULTS[case_id]

@@ -233,6 +233,29 @@ class TestSampleDataset:
         assert abs(y3.mean() - 1 / (lam2 * theta)) <= 3 * se
 
 
+def _merged_se(x, per_block):
+    """Standard errors of the column means of ``x``, merged as mc_study merges them: each block
+    of ``per_block`` rows adds to M2 its centred squares and the shift of its mean from the mean
+    of the rows before it (Chan, Golub & LeVeque 1979); se = sqrt(M2 / (reps - 1) / reps). Like
+    mc_study, it sums each column of a block as one contiguous run."""
+    columns, m2 = np.ascontiguousarray(x.T), np.zeros(x.shape[1])
+    for lo in range(0, len(x), per_block):
+        block = columns[:, lo : lo + per_block]
+        b, mean = block.shape[1], block.mean(axis=1)
+        m2 += np.square(block - mean[:, None]).sum(axis=1)
+        m2 += np.square(mean - x[:lo].sum(axis=0) / max(lo, 1)) * (lo * b / (lo + b))
+    return np.sqrt(m2 / (len(x) - 1) / len(x))
+
+
+def _assert_standard_errors(s, estimates, squared, n, k):
+    # The bits of the block-by-block merge, and numpy's two-pass value to within 1e-13.
+    per_block, reps = max(1, _BLOCK_UNIFORMS // (n * k)), len(estimates)
+    assert np.array_equal(s.se_mean, _merged_se(estimates, per_block))
+    assert np.array_equal(s.se_mse, _merged_se(squared, per_block))
+    np.testing.assert_allclose(s.se_mean, estimates.std(axis=0, ddof=1) / math.sqrt(reps), rtol=1e-13)
+    np.testing.assert_allclose(s.se_mse, squared.std(axis=0, ddof=1) / math.sqrt(reps), rtol=1e-13)
+
+
 class TestMcStudy:
     def test_requires_n_at_least_two(self):
         with pytest.raises(InvalidSampleSize):
@@ -299,8 +322,7 @@ class TestMcStudy:
         assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
         assert np.array_equal(s.mse, (errors**2).mean(axis=0))
         if reps > 1:
-            assert np.array_equal(s.se_mean, estimates.std(axis=0, ddof=1) / math.sqrt(reps))
-            assert np.array_equal(s.se_mse, (errors**2).std(axis=0, ddof=1) / math.sqrt(reps))
+            _assert_standard_errors(s, estimates, errors**2, n, spec.k)
         else:
             assert np.isnan(s.se_mean).all() and np.isnan(s.se_mse).all()
 
@@ -323,21 +345,22 @@ class TestMcStudy:
         s = mc_study(spec, truth, n, reps, RngState(33))
         assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
         assert np.array_equal(s.mse, squared.mean(axis=0))
-        assert np.array_equal(s.se_mean, estimates.std(axis=0, ddof=1) / math.sqrt(reps))
-        assert np.array_equal(s.se_mse, squared.std(axis=0, ddof=1) / math.sqrt(reps))
+        _assert_standard_errors(s, estimates, squared, n, spec.k)
 
-    def test_summary_holds_two_estimate_arrays(self):
-        # The estimates are written into one (reps, k) array and summarised in place: the
-        # peak is that array and the one temporary of a standard deviation, plus a block.
-        spec, truth, reps = ModelSpec.ssk(3, 2), Params(0.7, (1.5, 0.8)), 200_000
+    def test_summary_memory_does_not_grow_with_reps(self):
+        # Each block is summarised as it is made and no array is sized by reps, so ten times the
+        # replications peak within 1 MB (2e5 replications' estimates alone would be 4.8 MB).
+        spec, truth = ModelSpec.ssk(3, 2), Params(0.7, (1.5, 0.8))
         mc_study(spec, truth, 10, 10, RngState(0))  # warm up
-        tracemalloc.start()
-        try:
-            mc_study(spec, truth, 10, reps, RngState(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * reps * spec.k * 8
+        peaks = []
+        for reps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                mc_study(spec, truth, 10, reps, RngState(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
     @pytest.mark.parametrize("spec,seed", [(ModelSpec.kim_kvam(4), 2004), (ModelSpec.ssk(4, 2), 2008)],
                              ids=["kim-kvam", "ssk"])
