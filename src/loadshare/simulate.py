@@ -14,21 +14,22 @@ The parameters are judged before anything is drawn: the uniforms of
 ``Generator.random`` lie in [2**-53, 1 - 2**-53], so every exposure lies in
 about [1.1e-16, 36.74], and each spacing is monotone in its exposure. If every
 stage's spacing is finite and > 0 at both ends, no draw can fail. So
-``simulate`` draws and writes ``_WRITE_BLOCK_ROWS`` rows at a time, reading the
-stream as one matrix would (an exact zero, probability 2**-53 per draw, is
-redrawn after its own block), and :func:`sample_dataset` fills its matrix from
-the same blocks.
+:func:`_sample_blocks` judges them once, then draws rows in its caller's blocks
+(``simulate`` writes ``io._WRITE_BLOCK_ROWS`` at a time, :func:`sample_dataset`
+draws n, :func:`mc_study` whole replications). Every block size reads the
+stream as one matrix would, unless an exact zero (probability 2**-53 per draw)
+was redrawn, which happens after its own block.
 
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
-replication from one stream derived once from the master seed, in fixed-size
-blocks of about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
+replication from one stream derived once from the master seed, in blocks of
+about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
 :func:`model.sufficient_stats` and :func:`io.read_stats`, sums each block's
 (n, k, reps) view over its n systems, so a stage is a run of replications;
 each block's closed-form estimates are folded into the summary's sums as they
 are made, so memory is O(block) whatever the number of replications.
-Replication r takes the stream's r-th run of n*k draws, unless an exact zero
-was redrawn before it; the results depend on the seed alone.
+Replication r takes the stream's r-th run of n*k draws; the results depend on
+the seed alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidParams, InvalidSampleSize
-from .io import _WRITE_BLOCK_ROWS
 from .model import (
     ModelSpec,
     Params,
@@ -135,24 +135,20 @@ def _draw_spacings(spec: ModelSpec, rates: np.ndarray, t: np.ndarray) -> np.ndar
     return t
 
 
-def _sample_blocks(spec: ModelSpec, params: Params, n: int, rng: RngState) -> Iterator[np.ndarray]:
-    """The rows of :func:`sample_dataset`, ``_WRITE_BLOCK_ROWS`` at a time. n and the parameters
-    are judged now; each block is drawn only when it is asked for."""
+def _sample_blocks(spec: ModelSpec, params: Params, n: int, rng: RngState,
+                   rows: int) -> Iterator[np.ndarray]:
+    """n rows of spacings from ``rng``, ``rows`` at a time. n and the parameters are judged now;
+    each block is drawn only when it is asked for."""
     _check_int(InvalidSampleSize, "sample size n must be a positive integer", n, 1)
     rates = _stage_rates(spec, params)
-    rows = _WRITE_BLOCK_ROWS
     return (_draw_spacings(spec, rates, rng.uniform_open((min(rows, n - lo), spec.k)))
             for lo in range(0, n, rows))
 
 
 def sample_dataset(spec: ModelSpec, params: Params, n: int, rng: RngState) -> SpacingsMatrix:
-    """n independent systems; the same draws as n successive datasets of one system."""
-    blocks = _sample_blocks(spec, params, n, rng)
-    data = np.empty((n, spec.k))
-    for lo, block in zip(range(0, n, _WRITE_BLOCK_ROWS), blocks):
-        data[lo : lo + len(block)] = block
+    """n independent systems in one block: the same draws as n successive datasets of one system."""
     # _stage_rates judged every spacing a draw can give, and the fresh array is no one else's.
-    return SpacingsMatrix._adopt(data)
+    return SpacingsMatrix._adopt(next(_sample_blocks(spec, params, n, rng, n)))
 
 
 @dataclass(frozen=True)
@@ -192,16 +188,13 @@ class McSummary:
 _BLOCK_UNIFORMS = 2**14
 
 
-def _block_estimates(spec: ModelSpec, truth: Params, n: int, reps: int, stream: RngState,
-                     rates: np.ndarray) -> np.ndarray:
-    """(reps, k) closed-form estimates, one row per replication drawn from ``stream`` at the
-    stage ``rates`` of ``truth``."""
-    d = _draw_spacings(spec, rates, stream.uniform_open((reps, n, spec.k)))
-    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec, np.zeros((spec.k, reps))))
+def _block_estimates(spec: ModelSpec, truth: Params, d: np.ndarray) -> np.ndarray:
+    """(reps, k) closed-form estimates of the (reps, n, k) replications ``d`` drawn at ``truth``."""
+    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec, np.zeros((spec.k, len(d)))))
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")
-    estimates = _closed_form(n, totals)
+    estimates = _closed_form(d.shape[1], totals)
     bad = _first_bad(estimates)
     if bad is not None:
         name = "theta" if bad[-1] == 0 else f"lambda_{bad[-1]}"
@@ -228,14 +221,14 @@ def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
     _check_int(InvalidSampleSize,
                "recovery study needs n >= 2 (estimator mean is undefined at n = 1)", n, 2)
     _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
-    stream, rates, truth_vec = rng.child(0), _stage_rates(spec, truth), truth.as_array()
-    per_block = max(1, _BLOCK_UNIFORMS // (n * spec.k))
+    truth_vec, per_block = truth.as_array(), max(1, _BLOCK_UNIFORMS // (n * spec.k))
+    blocks = _sample_blocks(spec, truth, n * reps, rng.child(0), per_block * n)
     sums, m2 = np.zeros((2, spec.k)), np.zeros((2, spec.k))  # of the estimates, squared errors
     with np.errstate(all="ignore"):
-        for lo in range(0, reps, per_block):
-            rows = np.empty((2, spec.k, min(per_block, reps - lo) + 1))  # column 0 holds the sums
+        for lo, d in zip(range(0, reps, per_block), blocks):
+            rows = np.empty((2, spec.k, len(d) // n + 1))  # column 0 holds the sums
             x, b, rows[..., 0] = rows[..., 1:], rows.shape[-1] - 1, sums
-            x[0] = _block_estimates(spec, truth, n, b, stream, rates).T
+            x[0] = _block_estimates(spec, truth, d.reshape(b, n, spec.k)).T
             np.square(np.subtract(x[0], truth_vec[:, None], out=x[1]), out=x[1])
             block_mean = x.mean(axis=-1)
             m2 += np.square(x - block_mean[..., None]).sum(axis=-1)

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,19 +28,30 @@ SIMULATE = ["simulate", "--model", "kim-kvam", "--k", "2", "--theta", "1", "--la
 CHILD_TIMEOUT = 120  # seconds: a child that runs on fails its test instead of hanging the suite
 
 
+@contextlib.contextmanager
+def killed_after_timeout(child):
+    """Kill ``child`` once CHILD_TIMEOUT seconds have passed, or on leaving: a read of its
+    pipes then ends at EOF instead of waiting for output that never comes."""
+    timer = threading.Timer(CHILD_TIMEOUT, child.kill)
+    timer.start()
+    try:
+        yield child
+    finally:
+        timer.cancel()
+        child.kill()
+
+
 def closed_stdout_run(argv, lines_read):
     """Run the CLI with stdout a pipe closed after ``lines_read`` lines; (exit code, stderr)."""
-    child = subprocess.Popen([sys.executable, "-m", "loadshare", *argv], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True)
-    for _ in range(lines_read):
-        child.stdout.readline()
-    child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    try:
+    with killed_after_timeout(subprocess.Popen(
+            [sys.executable, "-m", "loadshare", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)) as child:
+        for _ in range(lines_read):
+            child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
         return child.wait(timeout=CHILD_TIMEOUT), err
-    finally:
-        child.kill()
 
 
 class TestWriteFaults:
@@ -155,15 +168,13 @@ class TestOutOfMemory:
         # simulate holds one block at a time, so 10**11 rows (1.46 TiB as one matrix) start
         # at once under the same limit; closing the pipe after the header ends the run.
         pytest.importorskip("resource")
-        child = subprocess.Popen([sys.executable, "-m", "loadshare", *SIMULATE, "--n", "100000000000"],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                 preexec_fn=_cap_address_space)
-        try:
+        with killed_after_timeout(subprocess.Popen(
+                [sys.executable, "-m", "loadshare", *SIMULATE, "--n", "100000000000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=_cap_address_space)) as child:
             assert child.stdout.readline() == "t1,t2\n"
             child.stdout.close()
             code = child.wait(timeout=10)
-        finally:
-            child.kill()
         err = child.stderr.read()
         child.stderr.close()
         assert code == 2
@@ -201,6 +212,15 @@ def test_import_builds_no_parse_table():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           timeout=CHILD_TIMEOUT)
     assert done.stdout == "[] 0\n"
+
+
+def test_import_loads_neither_file_formats_nor_cli():
+    # The package's layers: the model, the sampler, the fits and the oracle need neither the
+    # file formats nor the command line, so importing the package loads neither.
+    code = "import sys, loadshare; print(sorted({'loadshare.io', 'loadshare.cli'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          timeout=CHILD_TIMEOUT)
+    assert done.stdout == "[]\n"
 
 
 class TestSimulate:

@@ -16,7 +16,13 @@ from loadshare import (
     sample_dataset,
 )
 from loadshare.model import _FOLD_ROWS, _multipliers, _survivors
-from loadshare.simulate import _BLOCK_UNIFORMS, _block_estimates, _draw_spacings, _stage_rates
+from loadshare.simulate import (
+    _BLOCK_UNIFORMS,
+    _block_estimates,
+    _draw_spacings,
+    _sample_blocks,
+    _stage_rates,
+)
 
 
 class TestRngState:
@@ -430,8 +436,9 @@ class TestExactLaw:
         (ModelSpec.ssk(4, 2), Params(0.7, (1.5, 0.8, 2.0)), 2008),
     ], ids=["kim-kvam", "ssk"])
     def test_pivots_follow_their_exact_laws(self, spec, truth, seed):
-        estimates = _block_estimates(spec, truth, self.n, self.N, RngState(seed),
-                                     _stage_rates(spec, truth))
+        rows = self.N * self.n
+        d = next(_sample_blocks(spec, truth, rows, RngState(seed), rows))
+        estimates = _block_estimates(spec, truth, d.reshape(self.N, self.n, spec.k))
         pivots = [(_gamma_cdf, self.n * truth.theta / estimates[:, 0])]
         pivots += [(_beta_cdf, 1.0 / (1.0 + lam / estimates[:, j]))
                    for j, lam in enumerate(truth.lambdas, start=1)]
