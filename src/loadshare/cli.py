@@ -8,6 +8,10 @@ artifact (CSV, JSON, or the text report); all diagnostics go to stderr.
 Run as a program, the process ends with ``os._exit`` once stdout and then stderr are flushed:
 the interpreter's teardown, mostly final collections over the objects numpy made, has nothing
 left to do and cost 20-30 ms a process (2-vCPU Xeon, Python 3.11).
+
+It also blocks ``_hashlib`` first, before main: numpy.random imports ``secrets``, whose
+``hmac`` would map OpenSSL's libcrypto (3.5 MB of peak RSS) for hashes the package never takes.
+In-process callers of main keep their ``_hashlib``; hmac and hashlib fall back to CPython's own.
 """
 
 from __future__ import annotations
@@ -346,6 +350,7 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    sys.modules.setdefault("_hashlib", None)  # numpy.random -> secrets -> hmac -> _hashlib
     code = main()  # an uncaught exception, a bug, still leaves through the normal exit
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -123,6 +123,81 @@ def test_entry_point_ends_the_process_without_teardown(tmp_path, monkeypatch, ca
     assert "teardown ran" not in done.stderr
 
 
+MC_STUDY = ["mc-study", "--model", "ssk", "--k", "3", "--s", "2", "--theta", "1", "--lambda",
+            "1,1", "--n", "10", "--reps", "200", "--format", "json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_entry_point_maps_no_libcrypto(capsys):
+    # numpy.random imports secrets, whose hmac would load _hashlib and with it OpenSSL's
+    # libcrypto; entry_point blocks _hashlib first, so the program's process never maps it.
+    code = ("import os, sys; from loadshare import cli; _exit = os._exit\n"
+            "def leave(code):\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        os.write(2, f'libcrypto mapped: {\"libcrypto\" in maps.read()}'.encode())\n"
+            "    _exit(code)\n"
+            "os._exit = leave; cli.entry_point()")
+    done = subprocess.run([sys.executable, "-c", code, *MC_STUDY], capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT)
+    assert (done.returncode, done.stdout) == run_cli(capsys, *MC_STUDY)[:2]
+    assert done.stderr == "libcrypto mapped: False"
+
+
+def test_fit_verify_and_help_load_no_numpy_random(tmp_path):
+    # Only the commands that draw (simulate, mc-study, verify --random) pay for numpy.random's
+    # import and its extension modules, so fit and verify --data start from a lower floor.
+    data = tmp_path / "d.csv"
+    data.write_text("t1,t2,t3\n1,2,3\n3,5,1\n")
+    argvs = [["fit", "--model", "ssk", "--s", "2", "--data", str(data)],
+             ["verify", "--model", "kim-kvam", "--data", str(data)], ["--help"]]
+    code = ("import json, sys; from loadshare import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT)
+    assert done.stderr == "[0, 0, 0] False\n"
+
+
+def _bench_inputs(tmp_path) -> dict[str, list[str]]:
+    """Small forms of the benchmark's four command lines, with their input files written."""
+    rng = np.random.default_rng(27)
+    lifetimes, spacings = tmp_path / "lifetimes.csv", tmp_path / "spacings.csv"
+    for path, letter in ((lifetimes, "x"), (spacings, "t")):
+        rows = rng.exponential(size=(40, 5)).tolist()
+        path.write_text(",".join(f"{letter}{j}" for j in range(1, 6)) + "\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return {
+        "fit": ["fit", "--model", "ssk", "--s", "2", "--format", "json", "--data", str(lifetimes)],
+        "verify-kim-kvam": ["verify", "--model", "kim-kvam", "--data", str(spacings)],
+        "verify-ssk": ["verify", "--model", "ssk", "--s", "2", "--data", str(spacings)],
+        "mc-study": MC_STUDY,
+        "simulate": ["simulate", "--model", "ssk", "--k", "5", "--s", "2", "--theta", "1",
+                     "--lambda", "1.5,0.8,2,1.2", "--n", "5000", "--out", str(tmp_path / "out.csv")],
+    }
+
+
+@pytest.mark.parametrize("command", ["fit", "verify-kim-kvam", "verify-ssk", "mc-study",
+                                     "simulate"])
+def test_main_keeps_to_the_in_process_contract(tmp_path, capfd, monkeypatch, command):
+    # The traced benchmark calls main in-process under redirect_stdout and redirect_stderr and
+    # catches only Exception. So main returns an int and raises nothing (pytest fails a test
+    # on any exception, SystemExit too), ends no process, writes around neither redirect, and
+    # leaves the caller's _hashlib as it found it.
+    argv = _bench_inputs(tmp_path)[command]
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code}) called"))
+    hashlib_module = sys.modules.get("_hashlib")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert type(code) is int and code == 0, err.getvalue()
+    assert capfd.readouterr() == ("", "")
+    assert sys.modules.get("_hashlib") is hashlib_module
+    if command == "simulate":
+        assert err.getvalue() == "n=5000 k=5 seed=0\n"
+    else:
+        assert out.getvalue()
+
+
 def test_every_error_class_has_an_exit_code():
     # main exits with the exit_code of the LoadShareError it catches, so every subclass, the
     # command line's own included, must carry one of the documented codes.
