@@ -8,68 +8,14 @@ failure), simulates them, and cross-checks the closed-form estimates
 against an independent likelihood-only maximizer.
 """
 
-from .errors import (
-    DataFileError,
-    DimensionMismatch,
-    DuplicateLifetime,
-    InvalidModel,
-    InvalidParams,
-    InvalidSampleSize,
-    LoadShareError,
-    NoConvergence,
-    NonPositiveLifetime,
-)
-from .estimate import FitResult, closed_form_mle
-from .model import (
-    ModelKind,
-    ModelSpec,
-    Params,
-    SpacingsMatrix,
-    SufficientStats,
-    log_likelihood,
-    score,
-    spacings_from_lifetimes,
-    sufficient_stats,
-)
-from .oracle import (
-    CrosscheckResult,
-    crosscheck,
-    finite_difference_gradient,
-    numeric_mle,
-    random_instances,
-)
-from .simulate import McSummary, RngState, mc_study, sample_dataset
+from .errors import *
+from .estimate import *
+from .model import *
+from .oracle import *
+from .simulate import *
 
-__all__ = [
-    "LoadShareError",
-    "InvalidModel",
-    "InvalidParams",
-    "DimensionMismatch",
-    "NonPositiveLifetime",
-    "DuplicateLifetime",
-    "InvalidSampleSize",
-    "NoConvergence",
-    "DataFileError",
-    "ModelKind",
-    "ModelSpec",
-    "Params",
-    "SpacingsMatrix",
-    "SufficientStats",
-    "spacings_from_lifetimes",
-    "log_likelihood",
-    "score",
-    "sufficient_stats",
-    "FitResult",
-    "closed_form_mle",
-    "RngState",
-    "McSummary",
-    "sample_dataset",
-    "mc_study",
-    "CrosscheckResult",
-    "numeric_mle",
-    "finite_difference_gradient",
-    "random_instances",
-    "crosscheck",
-]
+# Importing a submodule binds it on this package, so each star-import above also binds
+# its module's name here: every public name is declared once, in its module's __all__.
+__all__ = errors.__all__ + estimate.__all__ + model.__all__ + oracle.__all__ + simulate.__all__
 
 __version__ = "0.1.0"

@@ -5,6 +5,10 @@
   3  NoConvergence: a maximum the oracle could not certify
 """
 
+__all__ = ["LoadShareError", "InvalidModel", "InvalidParams", "DimensionMismatch",
+           "NonPositiveLifetime", "DuplicateLifetime", "InvalidSampleSize", "NoConvergence",
+           "DataFileError"]
+
 
 class LoadShareError(Exception):
     """Base class for all errors raised by this package."""

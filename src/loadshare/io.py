@@ -131,10 +131,25 @@ def _fixed_rows(x: np.ndarray, work: np.ndarray, text: np.ndarray, keep: np.ndar
                 quads: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Text rows of the values ``x`` that ``"%.17g"`` prints in fixed notation: ``text`` gets
     32-byte rows as 4 words each and ``keep`` the 0/1 bytes of each row that belong to the
-    value's text. Returns which values are certified (see :func:`write_dataset`); the rows of
-    the others hold nothing of use. Byte 31 of every row is left for a separator. ``work`` is
-    scratch, 10 float64 rows of len(x), the last for two rows of flags. ``quads[q]`` is the text
-    "%04d" of q as a 4-byte word, ``last[q]`` the index in it of its last nonzero digit, or -99."""
+    value's text. Returns which values are certified (below); the rows of the others hold
+    nothing of use. Byte 31 of every row is left for a separator. ``work`` is scratch, 10
+    float64 rows of len(x), the last for two rows of flags. ``quads[q]`` is the text "%04d" of
+    q as a 4-byte word, ``last[q]`` the index in it of its last nonzero digit, or -99.
+
+    ``"%.17g"`` prints x in fixed notation exactly when its decimal exponent E, after rounding
+    to 17 significant digits, is in [-4, 16]. For x in [1e-4, 1e17) this kernel takes
+    p = 16 - floor(log10 x), clipped to [0, 20], so 10**p is an exact double, and
+    :func:`_product` gives a + err == x * 10**p exactly (nothing overflows or underflows in
+    this range). N = a + floor(err) is the exact floor of x * 10**p where a is above 2**53, so
+    an integer, and below 10**16 elsewhere. x >= 1e-4 and p <= 20 make err a multiple of
+    2**-46, so its fraction err - floor(err) is exact too. A value is certified when
+    10**16 <= N, the fraction is not exactly 1/2, and D = N + (fraction > 1/2) < 10**17; then
+    E = 16 - p and D is the 17 digits. (D reaches 10**17 only for x within 5e-18 below a power
+    of ten, where no double lies in this range; such a value would fall back.) Values not
+    certified take ``format_float`` one by one: exponent notation, exact ties (where
+    ``"%.17g"`` rounds half to even), a floor(log10 x) off by one next to a power of ten, and,
+    in an ndarray, nan, infinities, zeros and negatives. The bytes are the same either way.
+    """
     ints, (ok, flag) = work.view(np.int64), work[9].view(bool)[: 2 * len(x)].reshape(2, -1)
     xs, tens, p = work[6], work[7], ints[8]
     np.logical_and(np.greater_equal(x, 1e-4, out=ok), np.less(x, 1e17, out=flag), out=ok)  # fixed
@@ -183,20 +198,7 @@ def write_dataset(spacings, stream: IO[str]) -> None:
     """Write spacings as CSV with a t1..tk header and lossless numbers.
 
     Every value is written as ``"%.17g"`` writes it (see :func:`format_float`), a block of
-    rows at a time. ``"%.17g"`` prints x in fixed notation exactly when its decimal exponent
-    E, after rounding to 17 significant digits, is in [-4, 16]. For x in [1e-4, 1e17) the
-    block kernel takes p = 16 - floor(log10 x), clipped to [0, 20], so 10**p is an exact
-    double, and :func:`_product` gives a + err == x * 10**p exactly (nothing overflows or
-    underflows in this range). N = a + floor(err) is the exact floor of x * 10**p where a is
-    above 2**53, so an integer, and below 10**16 elsewhere. x >= 1e-4 and p <= 20 make err a
-    multiple of 2**-46, so its fraction err - floor(err) is exact too. A value is certified when
-    10**16 <= N, the fraction is not exactly 1/2, and D = N + (fraction > 1/2) < 10**17;
-    then E = 16 - p and D is the 17 digits. (D reaches 10**17 only for x within 5e-18 below
-    a power of ten, where no double lies in this range; such a value would fall back.)
-    Values not certified take ``format_float`` one by one: exponent notation, exact ties
-    (where ``"%.17g"`` rounds half to even), a floor(log10 x) off by one next to a power of
-    ten, and, in an ndarray, nan, infinities, zeros and negatives. The bytes are the same
-    either way.
+    rows at a time; :func:`_fixed_rows` holds the proof that the bytes are the same.
     """
     data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings, float)
     blocks = (data[i : i + _WRITE_BLOCK_ROWS] for i in range(0, len(data), _WRITE_BLOCK_ROWS))
@@ -320,7 +322,28 @@ def _integers(words: np.ndarray, first: np.ndarray, end: np.ndarray, dot) -> tup
 
 
 def _scaled(n: np.ndarray, q: np.ndarray) -> tuple:
-    """fl(n * 10**q) for n < 10**19, and which values are certified (see :func:`read_dataset`)."""
+    """fl(n * 10**q) for n < 10**19, and which values are certified.
+
+    If every N of a chunk is below 2**53 and every |q| at most 22, N and 10**|q| are doubles
+    and one multiplication or division rounds correctly. Otherwise, for q in [-290, 288], a
+    table holds p1 = fl(10**q) and p2 = fl(10**q - p1), so p1 + p2 is 10**q to 2**-106, and
+    n1 = fl(N) and the integer n2 = N - n1 split N exactly. Veltkamp's halves and Dekker's
+    sums give a + err == n1 * p1 exactly, and t = err + (n1 * p2 + n2 * p1) leaves out only
+    n2 * p2, the error of p1 + p2 and three roundings: N * 10**q is within 2**-101 |a| of
+    a + t (nothing overflows or underflows in this range). With 2**E <= a < 2**(E+1) and
+    h = 2**(E-53), half an ulp of a, r = fl(a + t) and res = (a - r) + t (a - r is exact by
+    Sterbenz's lemma) give N * 10**q - r to within 2**-46 h. r is kept when |res| <
+    h (1 - 2**-32) and r > 2**E: then r's neighbours lie at least 2h away on either side
+    (below the power of two 2**E the next double is only h away), so N * 10**q rounds to r,
+    as ``float()`` rounds it. Every other cell takes ``float()`` one at a time: more than 19
+    significant digits, q outside the table, a value within 2**-32 h of a rounding boundary
+    (exact ties too, which round half to even), and one that rounds to 2**E or below. That
+    last guard keeps the argument short, but no cell of the grammar needs it: without it, a
+    value could be misread only within 2**-46 h of a midpoint just below 2**E, where the
+    doubles are h apart, not 2h. Over every binade the table reaches, the decimals with
+    N < 10**19 nearest those midpoints are either midpoints themselves, whose a + t lands on
+    the side ``float()`` rounds to, or at least 2**-23 h away; a test enumerates them.
+    """
     n1 = n.astype(float)
     if n.max() < np.uint64(2**53) and -22 <= q.min() and q.max() <= 22:
         return n1 * _TENS[np.maximum(q, 0)] / _TENS[np.maximum(-q, 0)], True
@@ -342,8 +365,10 @@ def _scaled(n: np.ndarray, q: np.ndarray) -> tuple:
 
 
 def _fast_block(text: str, k: int) -> np.ndarray | None:
-    """The n x k floats of a chunk of whole lines by the parse kernel (see :func:`read_dataset`),
-    or None for the per-cell parser."""
+    """The n x k floats of a chunk of whole lines by the parse kernel, or None for the per-cell
+    parser. The kernel (grammar in the module docstring) reads a cell as N, its mantissa digits
+    without the point, and q, its exponent less its fraction digits: the cell is N * 10**q
+    exactly, and :func:`_scaled` rounds it as ``float()`` does."""
     if "\n" not in text:  # CR line ends, or one line
         text = text.replace("\r", "\n")
     if not text.isascii() or text.endswith("\r"):  # a CR line end would pass for a CRLF below
@@ -445,29 +470,8 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
     The header decides the mode. ``assume_lifetimes`` admits headerless
     legacy files, treating every row (including the first) as raw lifetimes;
     combining it with an explicit ``t``-header is rejected as contradictory.
-    This joins the checked blocks of spacings, one a chunk (see the module docstring).
-
-    The parse kernel (grammar in the module docstring) reads a cell as N, its mantissa digits
-    without the point, and q, its exponent less its fraction digits: the cell is N * 10**q
-    exactly. If every N of a chunk is below 2**53 and every |q| at most 22, N and 10**|q| are
-    doubles and one multiplication or division rounds correctly. Otherwise, for q in
-    [-290, 288], a table holds p1 = fl(10**q) and p2 = fl(10**q - p1), so p1 + p2 is 10**q to
-    2**-106, and n1 = fl(N) and the integer n2 = N - n1 split N exactly. Veltkamp's halves
-    and Dekker's sums give a + err == n1 * p1 exactly, and t = err + (n1 * p2 + n2 * p1)
-    leaves out only n2 * p2, the error of p1 + p2 and three roundings: N * 10**q is within
-    2**-101 |a| of a + t (nothing overflows or underflows in this range). With 2**E <= a <
-    2**(E+1) and h = 2**(E-53), half an ulp of a, r = fl(a + t) and res = (a - r) + t (a - r
-    is exact by Sterbenz's lemma) give N * 10**q - r to within 2**-46 h. r is kept when
-    |res| < h (1 - 2**-32) and r > 2**E: then r's neighbours lie at least 2h away on either
-    side (below the power of two 2**E the next double is only h away), so N * 10**q rounds to
-    r, as ``float()`` rounds it. Every other cell takes ``float()`` one at a time: more than
-    19 significant digits, q outside the table, a value within 2**-32 h of a rounding
-    boundary (exact ties too, which round half to even), and one that rounds to 2**E or below.
-    That last guard keeps the argument short, but no cell of the grammar needs it: without it,
-    a value could be misread only within 2**-46 h of a midpoint just below 2**E, where the
-    doubles are h apart, not 2h. Over every binade the table reaches, the decimals with
-    N < 10**19 nearest those midpoints are either midpoints themselves, whose a + t lands on
-    the side ``float()`` rounds to, or at least 2**-23 h away; a test enumerates them.
+    This joins the checked blocks of spacings, one a chunk (see the module docstring). Every
+    cell reads as ``float()`` reads it; :func:`_fast_block` and :func:`_scaled` hold the proof.
     """
     # Every block holds spacings that SpacingsMatrix or spacings_from_lifetimes checked.
     return SpacingsMatrix._adopt(np.concatenate(list(_blocks(stream, assume_lifetimes))))

@@ -141,7 +141,9 @@ class Params:
 
     @classmethod
     def from_array(cls, values: Sequence[float]) -> "Params":
-        values = list(values)
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or not values.size:
+            raise InvalidParams(f"parameters must be a non-empty vector, got shape {values.shape}")
         return cls(values[0], tuple(values[1:]))
 
 

@@ -39,8 +39,6 @@ __all__ = [
     "finite_difference_gradient",
     "random_instances",
     "crosscheck",
-    "VERIFY_PARAM_TOL",
-    "VERIFY_LOGLIK_TOL",
 ]
 
 # Agreement thresholds between the closed forms and the numeric maximizer.

@@ -104,6 +104,12 @@ class TestParams:
         with pytest.raises(InvalidParams):
             Params(1.0, ())
 
+    @pytest.mark.parametrize("values, shape", [([], (0,)), (np.ones((1, 2)), (1, 2))])
+    def test_from_array_names_a_shape_that_is_no_vector(self, values, shape):
+        with pytest.raises(InvalidParams) as err:
+            Params.from_array(values)
+        assert str(err.value) == f"parameters must be a non-empty vector, got shape {shape}"
+
 
 class TestSpacingsMatrix:
     def test_shape_and_aggregates(self):
