@@ -22,7 +22,7 @@ import sys
 
 from .errors import DataFileError, LoadShareError, NoConvergence
 from .estimate import FitResult, closed_form_mle
-from .io import _WRITE_BLOCK_ROWS, _write_blocks, format_float, json_dumps, read_params_file, read_stats
+from .io import _write_blocks, format_float, json_dumps, read_params_file, read_stats
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
 from .oracle import (
     VERIFY_LOGLIK_TOL,
@@ -130,7 +130,7 @@ def _param_names(k: int) -> list[str]:
 def cmd_simulate(args) -> int:
     spec, params = _resolve_model_and_params(args)
     # Judged before the output is opened; each block is drawn as the writer asks for it.
-    blocks = _sample_blocks(spec, params, args.n, RngState(args.seed), _WRITE_BLOCK_ROWS)
+    blocks = _sample_blocks(spec, params, args.n, RngState(args.seed))
     if args.out is None or args.out == "-":
         _write_blocks(blocks, spec.k, sys.stdout)
     else:

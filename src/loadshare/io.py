@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^([tx])(\d+)$")
-# Rows formatted per block, for which the writer holds 144 bytes a value of buffers. It writes
-# the text of _WRITE_PIECE values at a time, a few tens of kB, which the heap serves.
-_WRITE_BLOCK_ROWS = 4096
+# Values per slice of whole rows (one row if k is larger); the writer holds 144 bytes a value of
+# buffers, 1.2 MB. It writes the text of _WRITE_PIECE values at a time, which the heap serves.
+_WRITE_BLOCK_VALUES = 2**13
 _WRITE_PIECE = 1024
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64 (see _product)
 _WORD = np.dtype("<u8")  # 8 text bytes, the first in the low byte
@@ -197,26 +197,26 @@ def _fixed_rows(x: np.ndarray, work: np.ndarray, text: np.ndarray, keep: np.ndar
 def write_dataset(spacings, stream: IO[str]) -> None:
     """Write spacings as CSV with a t1..tk header and lossless numbers.
 
-    Every value is written as ``"%.17g"`` writes it (see :func:`format_float`), a block of
+    Every value is written as ``"%.17g"`` writes it (see :func:`format_float`), a slice of
     rows at a time; :func:`_fixed_rows` holds the proof that the bytes are the same.
     """
     data = spacings.data if isinstance(spacings, SpacingsMatrix) else np.asarray(spacings, float)
-    blocks = (data[i : i + _WRITE_BLOCK_ROWS] for i in range(0, len(data), _WRITE_BLOCK_ROWS))
-    _write_blocks(blocks, data.shape[1], stream)
+    _write_blocks((data,), data.shape[1], stream)
 
 
 def _write_blocks(blocks: Iterable[np.ndarray], k: int, stream: IO[str]) -> None:
-    """:func:`write_dataset` of the rows of ``blocks``, (rows, k) arrays of at most
-    ``_WRITE_BLOCK_ROWS`` rows each, every block written as it comes. The header goes first.
-    The kernel's buffers, for ``_WRITE_BLOCK_ROWS * k`` values, are allocated once and held; a
-    short block uses their front."""
+    """:func:`write_dataset` of the rows of ``blocks``, (rows, k) arrays of any length, every
+    block written as it comes. The header goes first. Each block is cut into slices of
+    ``max(1, _WRITE_BLOCK_VALUES // k)`` whole rows, so the kernel's buffers, allocated once for
+    one slice and held, stay about 1.2 MB at any k; a short slice uses their front."""
     stream.write(",".join(f"t{j + 1}" for j in range(k)) + "\n")
     seps = np.where(np.arange(k) < k - 1, ord(","), ord("\n")).astype(np.uint64) << 56
     n = np.arange(10**4, dtype=np.uint32)  # the tables of _fixed_rows, built here, not at import
     quads = (n // 1000 | n // 100 % 10 << 8 | n // 10 % 10 << 16 | n % 10 << 24 | 0x30303030).astype("<u4")
     last = np.where(n, 3 - (n % 10 == 0) - (n % 100 == 0) - (n % 1000 == 0), -99).astype(np.int32)
-    work, words = np.empty(10 * _WRITE_BLOCK_ROWS * k), np.empty((2, _WRITE_BLOCK_ROWS * k, 4), _WORD)
-    for block in blocks:
+    step = max(1, _WRITE_BLOCK_VALUES // max(k, 1))
+    work, words = np.empty(10 * step * k), np.empty((2, step * k, 4), _WORD)
+    for block in (b[lo : lo + step] for b in blocks for lo in range(0, len(b), step)):
         values = block.ravel()
         text, keep = words[:, : len(values)]
         ok = _fixed_rows(values, work[: 10 * len(values)].reshape(10, -1), text, keep, quads, last)

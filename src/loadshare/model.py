@@ -296,7 +296,7 @@ def _stage_totals(spec: ModelSpec, sums: np.ndarray) -> np.ndarray:
         return w * sums[: spec.k].T
 
 
-_FOLD_ROWS = 8192  # rows a fold adds at a time, so that its buffer stays small for any matrix
+_FOLD_VALUES = 2**16  # values a fold adds at a time, so that its buffer stays 512 kB for any k
 
 
 def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.ndarray:
@@ -305,15 +305,16 @@ def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.
     The rows of ``sums`` are the sums of t for the stages before ``spec.s or k``, then of t*t
     and, if ``sums`` has room, of log t for the stages from there on. numpy adds a C-order
     buffer's rows in order along axis 0 when a row holds k >= 2 values, so seeding it with the
-    carried sums gives the same bits however the rows are split. Callers: sufficient_stats,
+    carried sums gives the same bits however the rows are split into steps of
+    ``max(1, _FOLD_VALUES // sums.size)``. Callers: sufficient_stats,
     io.read_stats per chunk, simulate.mc_study per block (k rows: the closed form reads no log)."""
     m, k = spec.s or spec.k, spec.k
     if d.shape[1] != k:
         raise DimensionMismatch(f"data has {d.shape[1]} columns but the model expects k={k}")
     sums = np.zeros((2 * k - m, *d.shape[2:])) if sums is None else sums
     with np.errstate(over="ignore", under="ignore"):
-        for lo in range(0, len(d), _FOLD_ROWS):
-            rows = np.empty((len(block := d[lo : lo + _FOLD_ROWS]) + 1, *sums.shape))
+        for lo in range(0, len(d), step := max(1, _FOLD_VALUES // sums.size)):
+            rows = np.empty((len(block := d[lo : lo + step]) + 1, *sums.shape))
             rows[0], rows[1:, :m] = sums, block[:, :m]
             np.square(block[:, m:], out=rows[1:, m:k])
             np.log(block[:, m : m + len(sums) - k], out=rows[1:, k:])

@@ -14,11 +14,12 @@ The parameters are judged before anything is drawn: the uniforms of
 ``Generator.random`` lie in [2**-53, 1 - 2**-53], so every exposure lies in
 about [1.1e-16, 36.74], and each spacing is monotone in its exposure. If every
 stage's spacing is finite and > 0 at both ends, no draw can fail. So
-:func:`_sample_blocks` judges them once, then draws rows in its caller's blocks
-(``simulate`` writes ``io._WRITE_BLOCK_ROWS`` at a time, :func:`sample_dataset`
-draws n, :func:`mc_study` whole replications). Every block size reads the
-stream as one matrix would, unless an exact zero (probability 2**-53 per draw)
-was redrawn, which happens after its own block.
+:func:`_sample_blocks` judges them once, then draws rows in blocks (about
+``_BLOCK_UNIFORMS`` values of whole rows for ``simulate``, whose writer cuts
+its own slices, n for :func:`sample_dataset`, whole replications for
+:func:`mc_study`). Every block size reads the stream as one matrix would,
+unless an exact zero (probability 2**-53 per draw) was redrawn, which happens
+after its own block.
 
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
@@ -135,12 +136,18 @@ def _draw_spacings(spec: ModelSpec, rates: np.ndarray, t: np.ndarray) -> np.ndar
     return t
 
 
+# Uniforms drawn per block: enough to amortise numpy's per-call overhead, few enough that a
+# block's temporaries stay a few hundred KB at any k (blocks of 2**16 raised the peak memory
+# of a 20k-replication study by 5 %).
+_BLOCK_UNIFORMS = 2**14
+
+
 def _sample_blocks(spec: ModelSpec, params: Params, n: int, rng: RngState,
-                   rows: int) -> Iterator[np.ndarray]:
-    """n rows of spacings from ``rng``, ``rows`` at a time. n and the parameters are judged now;
-    each block is drawn only when it is asked for."""
+                   rows: int | None = None) -> Iterator[np.ndarray]:
+    """n rows of spacings from ``rng``, ``rows`` (by default about ``_BLOCK_UNIFORMS`` values)
+    at a time. n and the parameters are judged now; each block is drawn when it is asked for."""
     _check_int(InvalidSampleSize, "sample size n must be a positive integer", n, 1)
-    rates = _stage_rates(spec, params)
+    rates, rows = _stage_rates(spec, params), rows or max(1, _BLOCK_UNIFORMS // spec.k)
     return (_draw_spacings(spec, rates, rng.uniform_open((min(rows, n - lo), spec.k)))
             for lo in range(0, n, rows))
 
@@ -180,12 +187,6 @@ class McSummary:
         # variance nonnegativity, up to float rounding
         if not np.all(self.mse >= self.bias**2 - 1e-12):
             raise AssertionError("mse < bias^2 beyond rounding slack; summary is inconsistent")
-
-
-# Uniforms drawn per block of replications: enough to amortise numpy's
-# per-call overhead, few enough that a block's temporaries stay a few hundred
-# KB (blocks of 2**16 raised the peak memory of a 20k-replication study by 5 %).
-_BLOCK_UNIFORMS = 2**14
 
 
 def _block_estimates(spec: ModelSpec, truth: Params, d: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ import loadshare.io
 from loadshare import ModelSpec, Params, RngState, sample_dataset
 from loadshare.cli import main
 from loadshare.errors import LoadShareError, NoConvergence
-from loadshare.io import _WRITE_BLOCK_ROWS, write_dataset
+from loadshare.io import _WRITE_BLOCK_VALUES, write_dataset
+from loadshare.simulate import _BLOCK_UNIFORMS
 
 
 def run_cli(capsys, *argv):
@@ -404,8 +405,10 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--params", str(pfile), "--n", "2")
         assert code == 2 and "unknown keys" in err
 
-    @pytest.mark.parametrize("n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
-                                   _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
+    # At ssk k = 4 these are the edges of the draw blocks of _BLOCK_UNIFORMS // 4 rows, two
+    # writer slices each; kim-kvam k = 3 has its own (test_streamed_bytes_at_every_edge_of_k).
+    @pytest.mark.parametrize("n", [1, _BLOCK_UNIFORMS // 4 - 1, _BLOCK_UNIFORMS // 4,
+                                   _BLOCK_UNIFORMS // 4 + 1, _BLOCK_UNIFORMS // 2 + 3])
     @pytest.mark.parametrize("spec, flags", [
         (ModelSpec.kim_kvam(3), ["--model", "kim-kvam", "--k", "3"]),
         (ModelSpec.ssk(4, 2), ["--model", "ssk", "--k", "4", "--s", "2"]),
@@ -422,6 +425,21 @@ class TestSimulate:
         path = tmp_path / "out.csv"
         assert main(argv + ["--out", str(path)]) == 0
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("k", [3, 20, 50])
+    def test_streamed_bytes_at_every_edge_of_k(self, capsys, k):
+        # simulate draws blocks of _BLOCK_UNIFORMS // k rows and writes slices of
+        # _WRITE_BLOCK_VALUES // k; at each edge of either the bytes are those of the matrix.
+        params = Params(0.8, (1.5,) * (k - 1))
+        draw, write = _BLOCK_UNIFORMS // k, _WRITE_BLOCK_VALUES // k
+        expected = io.StringIO()
+        write_dataset(sample_dataset(ModelSpec.kim_kvam(k), params, 2 * draw + 3, RngState(11)), expected)
+        lines = expected.getvalue().splitlines(keepends=True)
+        argv = ["simulate", "--model", "kim-kvam", "--k", str(k), "--theta", "0.8",
+                "--lambda", ",".join(map(str, params.lambdas)), "--seed", "11", "--n"]
+        for n in (write - 1, write, write + 1, draw - 1, draw, draw + 1, 2 * draw + 3):
+            code, out, _ = run_cli(capsys, *argv, str(n))
+            assert code == 0 and out == "".join(lines[: n + 1]), n
 
     @pytest.mark.parametrize("seed", range(20))
     def test_a_spacing_that_could_overflow_is_rejected_before_output(self, tmp_path, capsys, seed):
@@ -458,6 +476,26 @@ class TestSimulateMemory:
                 tracemalloc.stop()
             assert code == 0 and capsys.readouterr().out == ""
         # The 200k x 5 matrix alone would differ by 7.2 MB.
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    def test_peak_does_not_grow_with_k(self, tmp_path, capsys):
+        # The draw blocks and the writer's slices are sized in values, so 50 stages peak within
+        # 1 MB of 5 with the same n * k; writer blocks of 4,096 rows put them 28 MB apart.
+        def simulate(k, n):
+            return main(["simulate", "--model", "kim-kvam", "--k", str(k), "--theta", "1",
+                         "--lambda", ",".join(["1.5"] * (k - 1)), "--n", str(n), "--seed", "3",
+                         "--out", str(tmp_path / f"{k}.csv")])
+
+        simulate(2, 10)  # warm up
+        peaks = []
+        for k, n in ((5, 40_000), (50, 4_000)):
+            tracemalloc.start()
+            try:
+                code = simulate(k, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().out == ""
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 

@@ -25,7 +25,7 @@ from loadshare import (
 )
 from loadshare.cli import main
 from loadshare.io import (
-    _WRITE_BLOCK_ROWS,
+    _WRITE_BLOCK_VALUES,
     _write_blocks,
     format_float,
     json_dumps,
@@ -83,10 +83,13 @@ class TestDatasetRoundTrip:
         write_dataset(SpacingsMatrix([[1.0, 2.0, 3.0]]), buf)
         assert buf.getvalue().splitlines()[0] == "t1,t2,t3"
 
+    # The writer's slice edges at k = 2; at k = 5, whose slices are 1,638 rows, the same counts
+    # end inside the 1st, 3rd, 3rd, 3rd and 6th slice. test_every_slice_edge_of_k pins other k.
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize(
         "rows",
-        [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 7],
+        [1, _WRITE_BLOCK_VALUES // 2 - 1, _WRITE_BLOCK_VALUES // 2, _WRITE_BLOCK_VALUES // 2 + 1,
+         _WRITE_BLOCK_VALUES + 7],
     )
     def test_blocked_writer_matches_per_value_formatting(self, rows, k):
         rng = np.random.default_rng(rows * 10 + k)
@@ -101,7 +104,8 @@ class TestDatasetRoundTrip:
             write_dataset(source, buf)
             assert buf.getvalue() == expected
 
-    @pytest.mark.parametrize("rows", [_WRITE_BLOCK_ROWS - 1, 2 * _WRITE_BLOCK_ROWS + 7])
+    # At k = 5 these end 819 rows into the 3rd slice and 9 rows into the 6th.
+    @pytest.mark.parametrize("rows", [_WRITE_BLOCK_VALUES // 2 - 1, _WRITE_BLOCK_VALUES + 7])
     def test_blocked_writer_matches_per_value_formatting_in_fixed_range(self, rows):
         # Bit patterns dense in [1e-4, 1e17], which "%.17g" prints in fixed
         # notation: the block kernel, not format_float, spells most of them.
@@ -113,6 +117,18 @@ class TestDatasetRoundTrip:
             buf = io.StringIO()
             write_dataset(source, buf)
             assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("k", [3, 20, 200, _WRITE_BLOCK_VALUES + 5])
+    def test_every_slice_edge_of_k(self, k):
+        # The writer cuts each block it is given into slices of whole rows (one row when a row
+        # holds more than _WRITE_BLOCK_VALUES); at each slice edge the bytes are format_float's.
+        step = max(1, _WRITE_BLOCK_VALUES // k)
+        values = 10.0 ** np.random.default_rng(k).uniform(-20.0, 20.0, size=(2 * step + 3, k))
+        expected = per_value_csv(values).splitlines(keepends=True)
+        for rows in sorted({1, step - 1, step, step + 1, 2 * step, 2 * step + 3} - {0}):
+            buf = io.StringIO()
+            write_dataset(values[:rows], buf)
+            assert buf.getvalue() == "".join(expected[: rows + 1]), rows
 
     def test_few_simulated_values_take_the_per_value_path(self, monkeypatch):
         # A count, not a clock: the block kernel must spell nearly all simulated values.
@@ -132,28 +148,30 @@ class TestDatasetRoundTrip:
 
 
 class TestWriterScratch:
-    """The writer allocates its buffers once per call: a block's tracemalloc peak, those buffers
-    included, stays at 175 bytes a value or less, and further blocks add nothing. Unlike a
-    page-fault count, this does not depend on the malloc."""
+    """The writer allocates its buffers once per call, for one slice of whole rows: the
+    tracemalloc peak, those buffers included, stays at 175 bytes a value of one slice whatever
+    k is, and further slices add nothing. Unlike a page-fault count, this does not depend on
+    the malloc."""
 
     def test_peak_is_the_held_buffers(self):
         class Sink:
             def write(self, text):
                 return len(text)
 
-        k, rows = 5, loadshare.io._WRITE_BLOCK_ROWS
-        spec, truth = ModelSpec.ssk(k, 2), Params(1.0, (1.5, 0.8, 2.0, 1.2))
-        data = sample_dataset(spec, truth, 8 * rows, RngState(3)).data
-        peaks = []
-        for blocks in (1, 8):
-            tracemalloc.start()
-            try:
-                _write_blocks((data[i : i + rows] for i in range(0, blocks * rows, rows)), k, Sink())
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 175 * rows * k, peaks
-        assert peaks[1] - peaks[0] < 64 * 1024, peaks
+        for k in (2, 5, 20, 200):
+            rows = max(1, loadshare.io._WRITE_BLOCK_VALUES // k)
+            spec, truth = ModelSpec.kim_kvam(k), Params(1.0, (1.5,) * (k - 1))
+            data = sample_dataset(spec, truth, 8 * rows, RngState(3)).data
+            peaks = []
+            for slices in (1, 8):
+                tracemalloc.start()
+                try:
+                    _write_blocks((data[: slices * rows],), k, Sink())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= 175 * max(loadshare.io._WRITE_BLOCK_VALUES, k), (k, peaks)
+            assert peaks[1] - peaks[0] < 64 * 1024, (k, peaks)
 
 
 class TestDatasetParsing:

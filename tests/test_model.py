@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,9 +226,10 @@ class TestSufficientStats:
                              ids=["kk-k2", "kk-k5", "ssk-k3-s2", "ssk-k5-s2", "ssk-k5-s4"])
     def test_blocked_sums_have_the_whole_matrix_bits(self, monkeypatch, fold_rows, spec):
         # Blocks of any size give the bits of the whole-matrix column sums, also where only
-        # the last column is past the switch (numpy sums one column alone pairwise).
-        monkeypatch.setattr(loadshare.model, "_FOLD_ROWS", fold_rows)
+        # the last column is past the switch (numpy sums one column alone pairwise). A buffer
+        # row holds 2k - (s or k) sums, so these values make steps of fold_rows rows.
         k, s = spec.k, spec.s
+        monkeypatch.setattr(loadshare.model, "_FOLD_VALUES", fold_rows * (2 * k - (s or k)))
         d = np.random.default_rng(k).exponential(size=(3000, k)) * 10.0 ** np.arange(k)
         stats = sufficient_stats(spec, SpacingsMatrix(d))
         w = np.arange(k, 0, -1.0)
@@ -237,6 +239,21 @@ class TestSufficientStats:
         log_term = 0.0 if s is None else float(np.log(d).sum(axis=0)[s:].sum())
         assert [v.hex() for v in stats.totals] == [v.hex() for v in totals.tolist()]
         assert stats.log_term.hex() == log_term.hex() and stats.n == 3000
+
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(200), ModelSpec.ssk(60, 30)],
+                             ids=["kk-k200", "ssk-k60-s30"])
+    def test_fold_memory_does_not_grow_with_k(self, spec):
+        # The fold adds _FOLD_VALUES sums at a time (a 512 kB buffer, two while the next one is
+        # made), so 20,000 rows peak at 1.5 MB or less at any k; blocks of 8,192 rows peaked at
+        # 25 MB at k = 200 and 11 MB for ssk(60, 30).
+        data = SpacingsMatrix(np.random.default_rng(spec.k).exponential(size=(20_000, spec.k)))
+        tracemalloc.start()
+        try:
+            sufficient_stats(spec, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, peak
 
     def test_stats_pass_only_under_their_own_spec(self):
         stats = sufficient_stats(ModelSpec.ssk(4, 2), SpacingsMatrix([[1.0, 2.0, 3.0, 4.0]]))

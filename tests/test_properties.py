@@ -388,7 +388,7 @@ def test_writer_matches_format_float(k, data, block_rows, positive):
         + [",".join(loadshare.io.format_float(v) for v in row) + "\n" for row in rows]
     )
     sources = [np.array(rows)] + ([SpacingsMatrix(rows)] if positive else [])
-    with mock.patch.object(loadshare.io, "_WRITE_BLOCK_ROWS", block_rows):
+    with mock.patch.object(loadshare.io, "_WRITE_BLOCK_VALUES", block_rows * k):  # slices of block_rows
         for source in sources:
             buf = io.StringIO()
             loadshare.io.write_dataset(source, buf)

@@ -15,7 +15,7 @@ from loadshare import (
     mc_study,
     sample_dataset,
 )
-from loadshare.model import _FOLD_ROWS, _multipliers, _survivors
+from loadshare.model import _FOLD_VALUES, _multipliers, _survivors
 from loadshare.simulate import (
     _BLOCK_UNIFORMS,
     _block_estimates,
@@ -336,12 +336,13 @@ class TestMcStudy:
         (ModelSpec.kim_kvam(3), Params(1.0, (2.0, 0.5))),
         (ModelSpec.ssk(3, 2), Params(0.7, (1.5, 0.8))),
     ], ids=["kim-kvam", "ssk"])
-    @pytest.mark.parametrize("n,reps", [(2, _BLOCK_UNIFORMS // 6 + 5), (_FOLD_ROWS + 100, 3)],
+    @pytest.mark.parametrize("n,reps", [(2, _BLOCK_UNIFORMS // 6 + 5), (_FOLD_VALUES // 3 + 100, 3)],
                              ids=["wide-blocks", "fold-split"])
     def test_matches_reference_where_blocks_change_shape(self, spec, truth, n, reps):
-        # At n = 2 a block folds thousands of replications side by side; past _FOLD_ROWS rows a
-        # block is one replication (n * k > _BLOCK_UNIFORMS) and the fold splits it. Either way the
-        # summary equals the one taken from fitting each replication alone.
+        # At n = 2 a block folds thousands of replications side by side; past _FOLD_VALUES // k
+        # rows (k = 3 in both specs) a block is one replication (n * k > _BLOCK_UNIFORMS) and the
+        # fold splits it. Either way the summary equals the one taken from fitting each
+        # replication alone.
         stream = RngState(33).child(0)
         estimates = np.array([
             closed_form_mle(spec, sample_dataset(spec, truth, n, stream)).params_hat.as_array()
@@ -388,6 +389,14 @@ class TestMcStudy:
     def test_spacing_underflow_is_a_parameter_error(self):
         with pytest.raises(InvalidParams, match=r"theta=8e\+307.*stage 1"):
             mc_study(ModelSpec.kim_kvam(2), Params(8e307, (1.0,)), 2, 3, _NearOne(0))
+
+    def test_a_summary_statistic_out_of_range_is_a_parameter_error(self):
+        # At theta = 1e80 the estimates and their squared errors (about 1e160) are finite, and so
+        # are the mean and the mse; only se_mse, which sums squares of squared errors, overflows.
+        expected = (r"^theta=1e\+80 and lambda=1 give a Monte Carlo summary statistic outside the "
+                    r"float64 range$")
+        with pytest.raises(InvalidParams, match=expected):
+            mc_study(ModelSpec.kim_kvam(2), Params(1e80, (1.0,)), 3, 100, RngState(0))
 
     def test_bias_and_mse_shrink_with_sample_size(self):
         spec = ModelSpec.kim_kvam(3)
