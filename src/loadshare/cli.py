@@ -12,6 +12,10 @@ left to do and cost 20-30 ms a process (2-vCPU Xeon, Python 3.11).
 It also blocks ``_hashlib`` first, before main: numpy.random imports ``secrets``, whose
 ``hmac`` would map OpenSSL's libcrypto (3.5 MB of peak RSS) for hashes the package never takes.
 In-process callers of main keep their ``_hashlib``; hmac and hashlib fall back to CPython's own.
+
+Each command imports the layers it runs when it runs, so ``--help`` loads only this module,
+errors and model (whose kinds are ``--model``'s choices, so numpy too): a checkout without
+bytecode compiles every module it imports at every start.
 """
 
 from __future__ import annotations
@@ -21,16 +25,7 @@ import os
 import sys
 
 from .errors import DataFileError, LoadShareError, NoConvergence
-from .estimate import FitResult, closed_form_mle
-from .io import _write_blocks, format_float, json_dumps, read_params_file, read_stats
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
-from .oracle import (
-    VERIFY_LOGLIK_TOL,
-    VERIFY_PARAM_TOL,
-    _random_instance,
-    crosscheck,
-)
-from .simulate import RngState, _sample_blocks, mc_study
 
 EXIT_OK = 0
 EXIT_USAGE_ERROR = 2
@@ -62,6 +57,7 @@ def _resolve_model_and_params(args) -> tuple[ModelSpec, Params]:
     if args.params is not None:
         if args.model or args.k is not None or args.s is not None or args.theta is not None or args.lam is not None:
             raise _UsageError("--params replaces --model/--k/--s/--theta/--lambda")
+        from .io import read_params_file
         try:
             return _read_file(args.params, "parameter file", read_params_file)
         except DataFileError as exc:
@@ -90,11 +86,13 @@ def _read_file(path: str, what: str, read):
 
 def _read_stats(args) -> SufficientStats:
     """The stats of --data under --model and --s; a fault of the data comes before the model's."""
+    from .io import read_stats
     return _read_file(args.data, "dataset", lambda handle: read_stats(
         handle, lambda k: _build_spec(args.model, k, args.s), args.lifetimes))
 
 
-def _fit_as_json(fit: FitResult) -> str:
+def _fit_as_json(fit) -> str:
+    from .io import json_dumps
     payload = {
         "theta_hat": fit.params_hat.theta,
         "lambda_hat": list(fit.params_hat.lambdas),
@@ -108,7 +106,8 @@ def _fit_as_json(fit: FitResult) -> str:
     return json_dumps(payload)
 
 
-def _fit_as_text(fit: FitResult) -> str:
+def _fit_as_text(fit) -> str:
+    from .io import format_float
     lines = [f"model: {fit.model.kind.value}"]
     if fit.model.kind is ModelKind.SSK:
         lines.append(f"s: {fit.model.s}")
@@ -128,6 +127,8 @@ def _param_names(k: int) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    from .io import _write_blocks
+    from .simulate import RngState, _sample_blocks
     spec, params = _resolve_model_and_params(args)
     # Judged before the output is opened; each block is drawn as the writer asks for it.
     blocks = _sample_blocks(spec, params, args.n, RngState(args.seed))
@@ -144,6 +145,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .estimate import closed_form_mle
     stats = _read_stats(args)
     fit = closed_form_mle(stats.spec, stats)
     print(_fit_as_json(fit) if args.format == "json" else _fit_as_text(fit))
@@ -151,6 +153,8 @@ def cmd_fit(args) -> int:
 
 
 def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix | SufficientStats) -> bool:
+    from .io import format_float
+    from .oracle import crosscheck
     label = f"instance {index}: model={spec.kind.value} k={spec.k}"
     if spec.kind is ModelKind.SSK:
         label += f" s={spec.s}"
@@ -175,6 +179,7 @@ def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix | SufficientSt
 
 
 def cmd_verify(args) -> int:
+    from .oracle import VERIFY_LOGLIK_TOL, VERIFY_PARAM_TOL, _random_instance
     if args.random:
         if args.s is not None:
             raise _UsageError("--s is not allowed with --random; each instance draws its own")
@@ -197,6 +202,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc_study(args) -> int:
+    from .io import json_dumps
+    from .simulate import RngState, mc_study
     spec, truth = _resolve_model_and_params(args)
     summary = mc_study(spec, truth, args.n, args.reps, RngState(args.seed))
     truth_vec = truth.as_array()

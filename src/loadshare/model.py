@@ -312,9 +312,11 @@ def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.
     if d.shape[1] != k:
         raise DimensionMismatch(f"data has {d.shape[1]} columns but the model expects k={k}")
     sums = np.zeros((2 * k - m, *d.shape[2:])) if sums is None else sums
+    step = max(1, _FOLD_VALUES // sums.size)
+    buffer = np.empty((min(step, len(d)) + 1, *sums.shape))  # made once, for every step
     with np.errstate(over="ignore", under="ignore"):
-        for lo in range(0, len(d), step := max(1, _FOLD_VALUES // sums.size)):
-            rows = np.empty((len(block := d[lo : lo + step]) + 1, *sums.shape))
+        for lo in range(0, len(d), step):
+            rows = buffer[: len(block := d[lo : lo + step]) + 1]  # still C-order: same bits
             rows[0], rows[1:, :m] = sums, block[:, :m]
             np.square(block[:, m:], out=rows[1:, m:k])
             np.log(block[:, m : m + len(sums) - k], out=rows[1:, k:])

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import InvalidParams, NoConvergence
 from .estimate import FitResult, closed_form_mle
 from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, sufficient_stats
-from .simulate import RngState, sample_dataset
 
 __all__ = [
     "CrosscheckResult",
@@ -178,7 +177,7 @@ def finite_difference_gradient(
     return grad
 
 
-def _log_uniform(rng: RngState, size, low=0.1, high=10.0) -> np.ndarray:
+def _log_uniform(rng, size, low=0.1, high=10.0) -> np.ndarray:
     u = rng.uniform_open(size)
     return np.exp(math.log(low) + u * (math.log(high) - math.log(low)))
 
@@ -195,6 +194,7 @@ def random_instances(kind: ModelKind, count: int, seed: int):
 
 def _random_instance(kind: ModelKind, seed: int, i: int):
     """Instance ``i`` of :func:`random_instances`, drawn from ``RngState(seed).child(i)``."""
+    from .simulate import RngState, sample_dataset
     rng, ssk = RngState(seed).child(i), kind == ModelKind.SSK
     k_low = 3 if ssk else 2
     k = k_low + int(rng.uniform_open(()) * (7 - k_low))

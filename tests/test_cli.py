@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import loadshare.cli as cli
+import loadshare.estimate
 import loadshare.io
+import loadshare.oracle
+import loadshare.simulate
 from loadshare import ModelSpec, Params, RngState, sample_dataset
 from loadshare.cli import main
 from loadshare.errors import LoadShareError, NoConvergence
@@ -94,7 +97,7 @@ class TestWriteFaults:
         def fail(*args):
             raise OSError(5, "Input/output error")
 
-        monkeypatch.setattr(cli, "closed_form_mle", fail)
+        monkeypatch.setattr(loadshare.estimate, "closed_form_mle", fail)
         stdout = sys.stdout
         with pytest.raises(OSError, match="Input/output error"):
             main(["fit", "--model", "kim-kvam", "--data", str(data)])
@@ -275,7 +278,7 @@ class TestOutOfMemory:
         def fail(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "_sample_blocks", fail)
+        monkeypatch.setattr(loadshare.simulate, "_sample_blocks", fail)
         code, out, err = run_cli(capsys, *SIMULATE, "--n", "3")
         assert (code, out, err) == (2, "", "error: out of memory: the request is too large\n")
 
@@ -290,14 +293,48 @@ def test_import_builds_no_parse_table():
     assert done.stdout == "[] 0\n"
 
 
-def test_import_loads_neither_file_formats_nor_cli():
-    # The package's layers: the model, the sampler, the fits and the oracle need neither the
-    # file formats nor the command line, so importing the package loads neither.
-    code = "import sys, loadshare; print(sorted(m for m in sys.modules if m.startswith('loadshare.')))"
+LAYERS = ["errors", "estimate", "model", "oracle", "simulate"]
+
+
+@pytest.mark.parametrize("ask", ["from loadshare import LoadShareError", "loadshare.mc_study",
+                                 "from loadshare import *"], ids=["first", "last", "star"])
+def test_import_loads_no_module_until_a_public_name_is_asked_for(ask):
+    # Importing the package loads none of its modules. The first public name asked for loads
+    # the five layers, and neither the file formats nor the command line.
+    code = ("import sys, loadshare\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('loadshare.'))\n"
+            f"before = loaded()\n{ask}\nprint(before, loaded())")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           timeout=CHILD_TIMEOUT)
-    layers = ("errors", "estimate", "model", "oracle", "simulate")
-    assert done.stdout == f"{[f'loadshare.{name}' for name in layers]}\n"
+    assert done.stdout == f"[] {[f'loadshare.{name}' for name in LAYERS]}\n"
+
+
+@pytest.mark.parametrize("argv, exit_code, layers", [
+    (["--help"], 0, []),
+    (["fit", "--model", "kim-kvam"], 2, []),
+    (["fit", "--model", "kim-kvam", "--data", "DATA"], 0, ["estimate", "io"]),
+    (["verify", "--model", "kim-kvam", "--data", "DATA"], 0, ["estimate", "io", "oracle"]),
+    (["verify", "--model", "kim-kvam", "--random", "--instances", "2"], 0,
+     ["estimate", "io", "oracle", "simulate"]),
+    ([*SIMULATE, "--n", "3"], 0, ["io", "simulate"]),
+    (MC_STUDY, 0, ["io", "simulate"]),
+], ids=["help", "usage-error", "fit", "verify-data", "verify-random", "simulate", "mc-study"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, layers):
+    # A checkout without bytecode compiles every module a command imports at every start, so
+    # each command imports only the layers it runs. --help still loads numpy, through the
+    # model's kinds, which are --model's choices.
+    data = tmp_path / "d.csv"
+    data.write_text("t1,t2\n1,2\n3,5\n")
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    code = ("import contextlib, io, json, sys; from loadshare import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.main(json.loads(sys.argv[1]))\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('loadshare.')), "
+            "'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                          text=True, check=True, timeout=CHILD_TIMEOUT)
+    loaded = sorted(f"loadshare.{name}" for name in ["cli", "errors", "model", *layers])
+    assert done.stdout == f"{exit_code} {loaded} True\n"
 
 
 class TestSimulate:
@@ -775,10 +812,11 @@ class TestVerify:
         assert "verified 5/5" in out
 
     def test_random_instance_is_checked_before_the_next_is_drawn(self, capsys, monkeypatch):
-        events, draw, check = [], cli._random_instance, cli.crosscheck
-        monkeypatch.setattr(cli, "_random_instance",
+        oracle = loadshare.oracle
+        events, draw, check = [], oracle._random_instance, oracle.crosscheck
+        monkeypatch.setattr(oracle, "_random_instance",
                             lambda *a: events.append(f"draw {a[-1] + 1}") or draw(*a))
-        monkeypatch.setattr(cli, "crosscheck", lambda *a: events.append("check") or check(*a))
+        monkeypatch.setattr(oracle, "crosscheck", lambda *a: events.append("check") or check(*a))
         code, out, _ = run_cli(capsys, "verify", "--model", "kim-kvam", "--random",
                                "--instances", "3", "--seed", "1")
         assert code == 0 and "verified 3/3" in out
@@ -825,7 +863,7 @@ class TestVerify:
 
                 loglik_at_mle = -1.0
 
-        monkeypatch.setattr(cli, "crosscheck", lambda spec, data: FakeResult())
+        monkeypatch.setattr(loadshare.oracle, "crosscheck", lambda spec, data: FakeResult())
         data = tmp_path / "d.csv"
         data.write_text("t1,t2\n1,1\n")
         code, out, _ = run_cli(capsys, "verify", "--model", "kim-kvam", "--data", str(data))
@@ -833,7 +871,7 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_no_convergence_is_reported_and_exits_3(self, capsys, monkeypatch):
-        calls, check = [], cli.crosscheck
+        calls, check = [], loadshare.oracle.crosscheck
 
         def first_fails(spec, data):
             calls.append(spec)
@@ -841,7 +879,7 @@ class TestVerify:
                 raise NoConvergence("stalled after 3 sweeps")
             return check(spec, data)
 
-        monkeypatch.setattr(cli, "crosscheck", first_fails)
+        monkeypatch.setattr(loadshare.oracle, "crosscheck", first_fails)
         code, out, err = run_cli(capsys, "verify", "--model", "ssk", "--random",
                                  "--instances", "2", "--seed", "4")
         lines = out.splitlines()

@@ -243,9 +243,9 @@ class TestSufficientStats:
     @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(200), ModelSpec.ssk(60, 30)],
                              ids=["kk-k200", "ssk-k60-s30"])
     def test_fold_memory_does_not_grow_with_k(self, spec):
-        # The fold adds _FOLD_VALUES sums at a time (a 512 kB buffer, two while the next one is
-        # made), so 20,000 rows peak at 1.5 MB or less at any k; blocks of 8,192 rows peaked at
-        # 25 MB at k = 200 and 11 MB for ssk(60, 30).
+        # The fold adds _FOLD_VALUES sums at a time in one 512 kB buffer, made once and sliced
+        # for each step, so 20,000 rows peak at 0.75 MB or less at any k; two buffers at once
+        # peak at 1.0 MB, and blocks of 8,192 rows peaked at 25 MB at k = 200.
         data = SpacingsMatrix(np.random.default_rng(spec.k).exponential(size=(20_000, spec.k)))
         tracemalloc.start()
         try:
@@ -253,7 +253,7 @@ class TestSufficientStats:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2**20, peak
+        assert peak <= 0.75 * 2**20, peak
 
     def test_stats_pass_only_under_their_own_spec(self):
         stats = sufficient_stats(ModelSpec.ssk(4, 2), SpacingsMatrix([[1.0, 2.0, 3.0, 4.0]]))
