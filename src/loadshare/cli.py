@@ -15,7 +15,10 @@ In-process callers of main keep their ``_hashlib``; hmac and hashlib fall back t
 
 Each command imports the layers it runs when it runs, so ``--help`` loads only this module,
 errors and model (whose kinds are ``--model``'s choices, so numpy too): a checkout without
-bytecode compiles every module it imports at every start.
+bytecode compiles every module it imports at every start, and the compiler's memory for the
+largest sets much of the peak RSS. Stdout is spelled here (:func:`json_dumps`, which imports
+json when called) and by ``model.format_float``, so ``mc-study`` and ``verify --random`` load
+no file code, ``simulate`` only the writer, and ``fit`` and ``verify --data`` the reader.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import sys
 
 from .errors import DataFileError, LoadShareError, NoConvergence
-from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats
+from .model import ModelKind, ModelSpec, Params, SpacingsMatrix, SufficientStats, format_float
 
 EXIT_OK = 0
 EXIT_USAGE_ERROR = 2
@@ -91,8 +94,30 @@ def _read_stats(args) -> SufficientStats:
         handle, lambda k: _build_spec(args.model, k, args.s), args.lifetimes))
 
 
+def json_dumps(obj) -> str:
+    """JSON text with floats at full precision (see :func:`model.format_float`)."""
+    import json  # only a JSON report reads it
+    import numpy as np  # not at the top, so model.py compiles before numpy loads (peak RSS)
+    if isinstance(obj, (bool, np.bool_)):  # before int, which bool subclasses
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no NaN or Infinity; null is the portable stand-in.
+        return format_float(obj) if np.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def _fit_as_json(fit) -> str:
-    from .io import json_dumps
     payload = {
         "theta_hat": fit.params_hat.theta,
         "lambda_hat": list(fit.params_hat.lambdas),
@@ -107,7 +132,6 @@ def _fit_as_json(fit) -> str:
 
 
 def _fit_as_text(fit) -> str:
-    from .io import format_float
     lines = [f"model: {fit.model.kind.value}"]
     if fit.model.kind is ModelKind.SSK:
         lines.append(f"s: {fit.model.s}")
@@ -127,8 +151,8 @@ def _param_names(k: int) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    from .io import _write_blocks
     from .simulate import RngState, _sample_blocks
+    from .writer import _write_blocks
     spec, params = _resolve_model_and_params(args)
     # Judged before the output is opened; each block is drawn as the writer asks for it.
     blocks = _sample_blocks(spec, params, args.n, RngState(args.seed))
@@ -153,7 +177,6 @@ def cmd_fit(args) -> int:
 
 
 def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix | SufficientStats) -> bool:
-    from .io import format_float
     from .oracle import crosscheck
     label = f"instance {index}: model={spec.kind.value} k={spec.k}"
     if spec.kind is ModelKind.SSK:
@@ -202,7 +225,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc_study(args) -> int:
-    from .io import json_dumps
     from .simulate import RngState, mc_study
     spec, truth = _resolve_model_and_params(args)
     summary = mc_study(spec, truth, args.n, args.reps, RngState(args.seed))

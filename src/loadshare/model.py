@@ -22,7 +22,8 @@ spacing in the accelerating phase) and the log-likelihood is linear in the
 per-stage exposure totals S_1..S_k. The data enter only through n, those
 totals and, for ssk, the sum of log-spacings past the switch. That summary,
 :class:`SufficientStats`, is the one input of the likelihood, the score and
-the closed form (see :mod:`loadshare.estimate`).
+the closed form (see :mod:`loadshare.estimate`). :func:`format_float` spells
+every float the package prints, in CSV, JSON or text, so that it reads back the same.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ __all__ = [
     "log_likelihood",
     "score",
 ]
+
+
+def format_float(value: float) -> str:
+    """17 significant digits: parses back to the identical float64."""
+    return format(float(value), ".17g")
 
 
 class ModelKind(str, Enum):

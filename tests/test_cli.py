@@ -18,8 +18,9 @@ import loadshare.simulate
 from loadshare import ModelSpec, Params, RngState, sample_dataset
 from loadshare.cli import main
 from loadshare.errors import LoadShareError, NoConvergence
-from loadshare.io import _WRITE_BLOCK_VALUES, write_dataset
+from loadshare.io import write_dataset
 from loadshare.simulate import _BLOCK_UNIFORMS
+from loadshare.writer import _WRITE_BLOCK_VALUES
 
 
 def run_cli(capsys, *argv):
@@ -309,32 +310,45 @@ def test_import_loads_no_module_until_a_public_name_is_asked_for(ask):
     assert done.stdout == f"[] {[f'loadshare.{name}' for name in LAYERS]}\n"
 
 
-@pytest.mark.parametrize("argv, exit_code, layers", [
-    (["--help"], 0, []),
-    (["fit", "--model", "kim-kvam"], 2, []),
-    (["fit", "--model", "kim-kvam", "--data", "DATA"], 0, ["estimate", "io"]),
-    (["verify", "--model", "kim-kvam", "--data", "DATA"], 0, ["estimate", "io", "oracle"]),
+@pytest.mark.parametrize("argv, exit_code, layers, stdlib", [
+    (["--help"], 0, [], []),
+    (["fit", "--model", "kim-kvam"], 2, [], []),
+    (["fit", "--model", "kim-kvam", "--data", "DATA"], 0, ["estimate", "io", "writer"], ["csv"]),
+    (["verify", "--model", "kim-kvam", "--data", "DATA"], 0,
+     ["estimate", "io", "oracle", "writer"], ["csv"]),
     (["verify", "--model", "kim-kvam", "--random", "--instances", "2"], 0,
-     ["estimate", "io", "oracle", "simulate"]),
-    ([*SIMULATE, "--n", "3"], 0, ["io", "simulate"]),
-    (MC_STUDY, 0, ["io", "simulate"]),
-], ids=["help", "usage-error", "fit", "verify-data", "verify-random", "simulate", "mc-study"])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, layers):
+     ["estimate", "oracle", "simulate"], []),
+    ([*SIMULATE, "--n", "3"], 0, ["simulate", "writer"], []),
+    (MC_STUDY, 0, ["simulate"], ["json"]),
+    ([*MC_STUDY, "--format", "text"], 0, ["simulate"], []),
+], ids=["help", "usage-error", "fit", "verify-data", "verify-random", "simulate", "mc-study",
+        "mc-study-text"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, layers, stdlib):
     # A checkout without bytecode compiles every module a command imports at every start, so
-    # each command imports only the layers it runs. --help still loads numpy, through the
-    # model's kinds, which are --model's choices.
+    # each command imports only the layers it runs, and csv and json only where it reads a
+    # dataset or writes JSON. --help still loads numpy, through the model's kinds, which are
+    # --model's choices.
     data = tmp_path / "d.csv"
     data.write_text("t1,t2\n1,2\n3,5\n")
     argv = [str(data) if a == "DATA" else a for a in argv]
-    code = ("import contextlib, io, json, sys; from loadshare import cli\n"
+    code = ("import contextlib, io, sys; from loadshare import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            "    code = cli.main(json.loads(sys.argv[1]))\n"
+            "    code = cli.main(sys.argv[1:])\n"
             "print(code, sorted(m for m in sys.modules if m.startswith('loadshare.')), "
-            "'numpy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+            "'numpy' in sys.modules, sorted({'csv', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, check=True, timeout=CHILD_TIMEOUT)
     loaded = sorted(f"loadshare.{name}" for name in ["cli", "errors", "model", *layers])
-    assert done.stdout == f"{exit_code} {loaded} True\n"
+    assert done.stdout == f"{exit_code} {loaded} True {stdlib}\n"
+
+
+def test_writer_loads_no_reader():
+    # simulate compiles the writer alone: it imports nothing of io, csv or json.
+    code = ("import sys, loadshare.writer\n"
+            "print(sorted({'loadshare.io', 'csv', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          timeout=CHILD_TIMEOUT)
+    assert done.stdout == "[]\n"
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import loadshare.io
+import loadshare.writer
 from loadshare import (
     DataFileError,
     DimensionMismatch,
@@ -23,17 +24,10 @@ from loadshare import (
     sample_dataset,
     sufficient_stats,
 )
-from loadshare.cli import main
-from loadshare.io import (
-    _WRITE_BLOCK_VALUES,
-    _write_blocks,
-    format_float,
-    json_dumps,
-    read_dataset,
-    read_params_file,
-    read_stats,
-    write_dataset,
-)
+from loadshare.cli import json_dumps, main
+from loadshare.io import read_dataset, read_params_file, read_stats, write_dataset
+from loadshare.model import format_float
+from loadshare.writer import _WRITE_BLOCK_VALUES, _write_blocks
 
 
 def roundtrip(matrix: SpacingsMatrix, **kwargs) -> SpacingsMatrix:
@@ -66,6 +60,12 @@ class TestFormatting:
     def test_json_dumps_handles_numpy_scalars(self):
         parsed = json.loads(json_dumps({"a": np.float64(0.25), "b": np.int64(4), "c": None}))
         assert parsed == {"a": 0.25, "b": 4, "c": None}
+
+    def test_json_dumps_spells_bools_as_json(self):
+        # bool subclasses int, and numpy's bool subclasses neither: both must read as JSON bools.
+        text = json_dumps({"a": True, "b": [False, np.bool_(True), np.bool_(False)], "n": 1})
+        assert text == '{"a": true, "b": [false, true, false], "n": 1}'
+        assert json.loads(text) == {"a": True, "b": [False, True, False], "n": 1}
 
     def test_json_dumps_rejects_other_types(self):
         with pytest.raises(TypeError, match="cannot serialize object"):
@@ -140,7 +140,7 @@ class TestDatasetRoundTrip:
 
         spec, truth = ModelSpec.ssk(5, 2), Params(1.0, (1.5, 0.8, 2.0, 1.2))
         matrix = sample_dataset(spec, truth, 20_000, RngState(11))
-        monkeypatch.setattr(loadshare.io, "format_float", counted)
+        monkeypatch.setattr(loadshare.writer, "format_float", counted)
         buf = io.StringIO()
         write_dataset(matrix, buf)
         assert len(calls) < 0.001 * matrix.data.size, len(calls)
@@ -159,7 +159,7 @@ class TestWriterScratch:
                 return len(text)
 
         for k in (2, 5, 20, 200):
-            rows = max(1, loadshare.io._WRITE_BLOCK_VALUES // k)
+            rows = max(1, loadshare.writer._WRITE_BLOCK_VALUES // k)
             spec, truth = ModelSpec.kim_kvam(k), Params(1.0, (1.5,) * (k - 1))
             data = sample_dataset(spec, truth, 8 * rows, RngState(3)).data
             peaks = []
@@ -170,7 +170,7 @@ class TestWriterScratch:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            assert peaks[0] <= 175 * max(loadshare.io._WRITE_BLOCK_VALUES, k), (k, peaks)
+            assert peaks[0] <= 175 * max(loadshare.writer._WRITE_BLOCK_VALUES, k), (k, peaks)
             assert peaks[1] - peaks[0] < 64 * 1024, (k, peaks)
 
 

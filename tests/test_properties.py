@@ -30,6 +30,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, reject, settings, strategies as st
 
 import loadshare.io
+import loadshare.model
+import loadshare.writer
 from loadshare import (LoadShareError, ModelSpec, SpacingsMatrix, closed_form_mle, crosscheck,
                        sufficient_stats)
 from loadshare.cli import main
@@ -385,10 +387,10 @@ def test_writer_matches_format_float(k, data, block_rows, positive):
     rows = data.draw(st.lists(values, min_size=1, max_size=8))
     expected = "".join(
         [",".join(f"t{j}" for j in range(1, k + 1)) + "\n"]
-        + [",".join(loadshare.io.format_float(v) for v in row) + "\n" for row in rows]
+        + [",".join(loadshare.model.format_float(v) for v in row) + "\n" for row in rows]
     )
     sources = [np.array(rows)] + ([SpacingsMatrix(rows)] if positive else [])
-    with mock.patch.object(loadshare.io, "_WRITE_BLOCK_VALUES", block_rows * k):  # slices of block_rows
+    with mock.patch.object(loadshare.writer, "_WRITE_BLOCK_VALUES", block_rows * k):  # slices of block_rows
         for source in sources:
             buf = io.StringIO()
             loadshare.io.write_dataset(source, buf)
