@@ -105,49 +105,38 @@ def json_dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         # JSON has no NaN or Infinity; null is the portable stand-in.
         return format_float(obj) if np.isfinite(obj) else "null"
-    if isinstance(obj, str):
+    if isinstance(obj, str) or obj is None:
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _fit_as_json(fit) -> str:
-    payload = {
+def _switch(spec: ModelSpec) -> dict:
+    """The ssk switch as a report field: {"s": s}, and no field for kim-kvam."""
+    return {} if spec.s is None else {"s": spec.s}
+
+
+def _fit_report(fit, fmt: str) -> str:
+    """The fit as one JSON object, or as "name: value" lines of the same fields."""
+    fields = {
         "theta_hat": fit.params_hat.theta,
         "lambda_hat": list(fit.params_hat.lambdas),
         "loglik": fit.loglik_at_mle,
         "n": fit.n,
         "k": fit.model.k,
         "model": fit.model.kind.value,
+        **_switch(fit.model),
     }
-    if fit.model.kind is ModelKind.SSK:
-        payload["s"] = fit.model.s
-    return json_dumps(payload)
-
-
-def _fit_as_text(fit) -> str:
-    lines = [f"model: {fit.model.kind.value}"]
-    if fit.model.kind is ModelKind.SSK:
-        lines.append(f"s: {fit.model.s}")
-    lines += [
-        f"k: {fit.model.k}",
-        f"n: {fit.n}",
-        f"theta_hat: {format_float(fit.params_hat.theta)}",
-    ]
-    for j, lam in enumerate(fit.params_hat.lambdas, start=1):
-        lines.append(f"lambda_hat_{j}: {format_float(lam)}")
-    lines.append(f"loglik: {format_float(fit.loglik_at_mle)}")
+    if fmt == "json":
+        return json_dumps(fields)
+    lines = [f"{name}: {fields[name]}" for name in ("model", *_switch(fit.model), "k", "n")]
+    lines.append(f"theta_hat: {format_float(fields['theta_hat'])}")
+    lines += [f"lambda_hat_{j}: {format_float(v)}" for j, v in enumerate(fields["lambda_hat"], 1)]
+    lines.append(f"loglik: {format_float(fields['loglik'])}")
     return "\n".join(lines)
-
-
-def _param_names(k: int) -> list[str]:
-    return ["theta"] + [f"lambda_{j}" for j in range(1, k)]
 
 
 def cmd_simulate(args) -> int:
@@ -172,16 +161,14 @@ def cmd_fit(args) -> int:
     from .estimate import closed_form_mle
     stats = _read_stats(args)
     fit = closed_form_mle(stats.spec, stats)
-    print(_fit_as_json(fit) if args.format == "json" else _fit_as_text(fit))
+    print(_fit_report(fit, args.format))
     return EXIT_OK
 
 
 def _verify_one(index: int, spec: ModelSpec, data: SpacingsMatrix | SufficientStats) -> bool:
     from .oracle import crosscheck
-    label = f"instance {index}: model={spec.kind.value} k={spec.k}"
-    if spec.kind is ModelKind.SSK:
-        label += f" s={spec.s}"
-    label += f" n={data.n}"
+    fields = {"model": spec.kind.value, "k": spec.k, **_switch(spec), "n": data.n}
+    label = f"instance {index}: " + " ".join(f"{name}={value}" for name, value in fields.items())
     try:
         result = crosscheck(spec, data)
     except NoConvergence as exc:
@@ -231,7 +218,7 @@ def cmd_mc_study(args) -> int:
     truth_vec = truth.as_array()
     reference = args.n / (args.n - 1) * truth_vec
     if args.format == "json":
-        payload = {
+        print(json_dumps({
             "model": spec.kind.value,
             "k": spec.k,
             "n": args.n,
@@ -243,30 +230,24 @@ def cmd_mc_study(args) -> int:
             "mse": summary.mse,
             "se_mean": summary.se_mean,
             "reference_mean": reference,
-        }
-        if spec.kind is ModelKind.SSK:
-            payload["s"] = spec.s
-        print(json_dumps(payload))
-    else:
-        header = f"model: {spec.kind.value}  k: {spec.k}"
-        if spec.kind is ModelKind.SSK:
-            header += f"  s: {spec.s}"
-        header += f"  n: {args.n}  reps: {summary.reps}  seed: {args.seed}"
-        print(header)
-        print(f"{'parameter':<12} {'truth':>12} {'mean':>14} {'bias':>14} {'mse':>14} {'ref_mean':>14}")
-        for name, tru, mean, bias, mse, ref in zip(
-            _param_names(spec.k),
-            truth_vec,
-            summary.mean_estimates,
-            summary.bias,
-            summary.mse,
-            reference,
-        ):
-            print(
-                f"{name:<12} {tru:>12.6g} {mean:>14.8g} {bias:>14.6g} "
-                f"{mse:>14.6g} {ref:>14.8g}"
-            )
-        print("ref_mean is the analytic estimator mean n/(n-1) * truth")
+            **_switch(spec),
+        }))
+        return EXIT_OK
+    head = {"model": spec.kind.value, "k": spec.k, **_switch(spec), "n": args.n,
+            "reps": summary.reps, "seed": args.seed}
+    print("  ".join(f"{name}: {value}" for name, value in head.items()))
+    columns = [  # (column, values, width, format): each header cell and its rows share one entry
+        ("parameter", ["theta"] + [f"lambda_{j}" for j in range(1, spec.k)], "<12", ""),
+        ("truth", truth_vec, ">12", ".6g"),
+        ("mean", summary.mean_estimates, ">14", ".8g"),
+        ("bias", summary.bias, ">14", ".6g"),
+        ("mse", summary.mse, ">14", ".6g"),
+        ("ref_mean", reference, ">14", ".8g"),
+    ]
+    print(" ".join(f"{column:{width}}" for column, _, width, _ in columns))
+    for row in zip(*(values for _, values, _, _ in columns)):
+        print(" ".join(f"{v:{width}{fmt}}" for v, (_, _, width, fmt) in zip(row, columns)))
+    print("ref_mean is the analytic estimator mean n/(n-1) * truth")
     return EXIT_OK
 
 

@@ -131,8 +131,15 @@ class Params:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+        try:
+            values = (self.theta, *self.lambdas)  # a TypeError if lambdas is not iterable
+            if any(isinstance(v, (str, bool, np.bool_)) for v in values):  # float() would take these
+                raise TypeError
+            theta, *lambdas = map(float, values)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParams(f"parameters must be numbers, got {self.theta!r}, {self.lambdas!r}") from None
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "lambdas", tuple(lambdas))
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise InvalidParams(f"theta must be finite and > 0, got {self.theta}")
         if len(self.lambdas) == 0:
@@ -147,7 +154,7 @@ class Params:
 
     @classmethod
     def from_array(cls, values: Sequence[float]) -> "Params":
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=object)  # each value is judged by Params
         if values.ndim != 1 or not values.size:
             raise InvalidParams(f"parameters must be a non-empty vector, got shape {values.shape}")
         return cls(values[0], tuple(values[1:]))
@@ -231,9 +238,12 @@ def _log_factorial(k: int) -> float:
     return sum(math.log(i) for i in range(2, k + 1))
 
 
-def _survivors(k: int) -> np.ndarray:
-    """Components at risk during each stage: k-j+1 for j = 1..k."""
-    return np.arange(k, 0, -1, dtype=float)
+def _weights(spec: ModelSpec) -> np.ndarray:
+    """Components at risk during each stage, k-j+1 for j = 1..k, halved past the ssk switch:
+    S_j's weight on stage j's sum of t (of t*t past the switch), and a factor of its rate."""
+    w = np.arange(spec.k, 0, -1, dtype=float)
+    w[spec.s or spec.k :] *= 0.5
+    return w
 
 
 def _multipliers(spec: ModelSpec, params: Params) -> np.ndarray:
@@ -295,11 +305,9 @@ class SufficientStats:
 
 def _stage_totals(spec: ModelSpec, sums: np.ndarray) -> np.ndarray:
     """Stage totals S_1..S_k along the last axis from :func:`_fold`'s first k rows of sums,
-    halved past the switch, where they sum t*t. Overflow is left for the caller to find."""
-    w = _survivors(spec.k)
-    w[spec.s or spec.k :] *= 0.5
+    weighted by :func:`_weights`. Overflow is left for the caller to find."""
     with np.errstate(over="ignore"):
-        return w * sums[: spec.k].T
+        return _weights(spec) * sums[: spec.k].T
 
 
 _FOLD_VALUES = 2**16  # values a fold adds at a time, so that its buffer stays 512 kB for any k

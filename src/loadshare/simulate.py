@@ -51,7 +51,7 @@ from .model import (
     _fold,
     _multipliers,
     _stage_totals,
-    _survivors,
+    _weights,
 )
 
 __all__ = [
@@ -109,9 +109,9 @@ def _out_of_range(params: Params, what: str) -> InvalidParams:
 
 
 def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
-    """The stage rates, once every spacing a draw can give is known to be finite and > 0."""
+    """The stage rates, halved past the ssk switch, judged by every spacing a draw can give."""
     with np.errstate(over="ignore", under="ignore"):
-        rates = _survivors(spec.k) * _multipliers(spec, params) * params.theta
+        rates = _weights(spec) * _multipliers(spec, params) * params.theta
     bad = _first_bad(rates)
     if bad is not None:
         raise _out_of_range(params, f"stage {bad[0] + 1} the rate {rates[bad]:g}")
@@ -124,13 +124,12 @@ def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
 
 
 def _draw_spacings(spec: ModelSpec, rates: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The uniforms ``t`` (..., k) become spacings in place: -log U / rate, and past the ssk
-    switch sqrt(2 * (-log U) / rate)."""
+    """The uniforms ``t`` (..., k) become spacings in place: -log U over the stage's rate from
+    :func:`_stage_rates`, and past the ssk switch, where that rate is halved, its square root."""
     rayleigh = t[..., spec.s or spec.k :]  # the stages past the switch; none in kim-kvam
     with np.errstate(all="ignore"):
         np.log(t, out=t)
         np.negative(t, out=t)  # the unit-exponential exposures
-        rayleigh *= 2.0
         t /= rates
         np.sqrt(rayleigh, out=rayleigh)
     return t

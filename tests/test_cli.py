@@ -585,6 +585,27 @@ class TestFit:
         assert payload["theta_hat"] == pytest.approx(1 / 3, rel=1e-15)
         assert payload["lambda_hat"] == pytest.approx([1.5, 6.0], rel=1e-15)
 
+    @pytest.mark.parametrize("model", [["kim-kvam"], ["ssk", "--s", "2"]], ids=["kim-kvam", "ssk"])
+    def test_json_and_text_hold_the_same_fields_bit_for_bit(self, tmp_path, capsys, model):
+        data = tmp_path / "d.csv"
+        with data.open("w") as handle:
+            write_dataset(np.random.default_rng(3).exponential(size=(7, 4)), handle)
+        reports = {}
+        for fmt in ("json", "text"):
+            code, out, _ = run_cli(capsys, "fit", "--model", *model, "--data", str(data), "--format", fmt)
+            assert code == 0
+            reports[fmt] = out
+        payload = json.loads(reports["json"])
+        lambdas = payload.pop("lambda_hat")
+        payload.update((f"lambda_hat_{j}", lam) for j, lam in enumerate(lambdas, start=1))
+        text = dict(line.split(": ") for line in reports["text"].splitlines())
+        assert text.keys() == payload.keys()
+        for name, value in payload.items():
+            if isinstance(value, float):
+                assert float(text[name]).hex() == value.hex(), name
+            else:
+                assert text[name] == str(value), name
+
     def test_ssk_without_s_exits_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("t1,t2,t3\n1,1,1\n")
@@ -939,6 +960,29 @@ class TestMcStudy:
         assert len(payload["mean"]) == 3
         ref = 10 / 9
         assert payload["reference_mean"] == pytest.approx([ref, ref, ref], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [["kim-kvam", "--lambda", "2,0.5"], ["ssk", "--s", "2", "--lambda", "1.5,3"]],
+        ids=["kim-kvam", "ssk"],
+    )
+    def test_text_table_is_the_json_at_the_printed_precision(self, capsys, model):
+        args = ["mc-study", "--model", *model, "--k", "3", "--theta", "0.7", "--n", "6", "--reps", "40"]
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        head, columns, *rows, note = out.splitlines()
+        assert dict(field.split(": ") for field in head.split("  ")) == {
+            name: str(payload[name]) for name in ("model", "k", "s", "n", "reps", "seed") if name in payload
+        }
+        assert columns.split() == ["parameter", "truth", "mean", "bias", "mse", "ref_mean"]
+        assert note.startswith("ref_mean is")
+        precision = {"truth": ".6g", "mean": ".8g", "bias": ".6g", "mse": ".6g", "reference_mean": ".8g"}
+        assert [row.split()[0] for row in rows] == ["theta", "lambda_1", "lambda_2"]
+        for i, row in enumerate(rows):
+            cells = row.split()[1:]
+            assert cells == [format(payload[name][i], fmt) for name, fmt in precision.items()]
 
     def test_single_replication_json_is_valid(self, capsys):
         code, out, _ = run_cli(

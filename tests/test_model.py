@@ -105,6 +105,22 @@ class TestParams:
         with pytest.raises(InvalidParams):
             Params(1.0, ())
 
+    @pytest.mark.parametrize(
+        "theta, lambdas",
+        [(1.0, ("x",)), (1.0, (None,)), (1.0, 2.0), (10**400, (1.0,)), ("1", (1.0,)),
+         (True, (1.0,)), (1.0, (np.True_,)), (1.0, "2")],
+        ids=["str", "none", "not-iterable", "overflow", "str-theta", "bool", "numpy-bool", "str-lambdas"],
+    )
+    def test_a_value_that_is_no_number_is_invalid_params(self, theta, lambdas):
+        # float() raises ValueError, TypeError or OverflowError here, or takes a str or a bool.
+        with pytest.raises(InvalidParams, match="parameters must be numbers"):
+            Params(theta, lambdas)
+
+    @pytest.mark.parametrize("values", [["x"], [1.0, "2"], [True, 1.0]], ids=["str", "numeric-str", "bool"])
+    def test_from_array_judges_each_value_as_params_does(self, values):
+        with pytest.raises(InvalidParams, match="parameters must be numbers"):
+            Params.from_array(values)
+
     @pytest.mark.parametrize("values, shape", [([], (0,)), (np.ones((1, 2)), (1, 2))])
     def test_from_array_names_a_shape_that_is_no_vector(self, values, shape):
         with pytest.raises(InvalidParams) as err:

@@ -15,7 +15,7 @@ from loadshare import (
     mc_study,
     sample_dataset,
 )
-from loadshare.model import _FOLD_VALUES, _multipliers, _survivors
+from loadshare.model import _FOLD_VALUES, _multipliers, _weights
 from loadshare.simulate import (
     _BLOCK_UNIFORMS,
     _block_estimates,
@@ -137,7 +137,7 @@ class TestUpFrontJudgement:
     def drawn_ok(spec, theta):
         params = Params(theta, (1.0,) * (spec.k - 1))
         with np.errstate(over="ignore", under="ignore"):
-            rates = _survivors(spec.k) * _multipliers(spec, params) * theta
+            rates = _weights(spec) * _multipliers(spec, params) * theta
         u = np.array([[2.0**-53] * spec.k, [1.0 - 2.0**-53] * spec.k])
         t = _draw_spacings(spec, rates, _Fixed(u).uniform_open((2, spec.k)))
         return bool(np.all(np.isfinite(t) & (t > 0)))
