@@ -15,8 +15,8 @@ reads on only to end a quoted record; the kernel takes the next chunk. An
 error's "row" is the 1-based file line its record starts on, header and blank
 lines counted; the first tie is raised after the last cell. Each chunk gives a
 checked block of spacings: :func:`read_dataset` joins them into one matrix;
-:func:`read_stats` folds each into the sums its model reads, of t before the
-switch and of t*t and log t after it (:func:`model._fold`), so memory stays O(chunk).
+:func:`read_stats` folds each into its sums of t, t*t and log t per stage
+(:func:`model._fold`), so memory stays O(chunk), and judges the model only after the last.
 
 The writer is :mod:`loadshare.writer`; its :func:`write_dataset` is bound here too, and
 the parse kernel takes its error-free product and word tables.
@@ -309,20 +309,12 @@ def read_dataset(stream: IO[str], assume_lifetimes: bool = False) -> SpacingsMat
 def read_stats(stream: IO[str], spec_for: Callable[[int], ModelSpec],
                assume_lifetimes: bool = False) -> SufficientStats:
     """``sufficient_stats(spec_for(k), read_dataset(stream))`` to the bit, folding each block
-    as it is read (:func:`model._fold`), so no n x k matrix is held. If ``spec_for(k)`` raises
-    on the first block's k, the rest of the file is read first: a data fault comes before it."""
-    blocks = _blocks(stream, assume_lifetimes)
-    block = next(blocks)
-    try:
-        spec = spec_for(block.shape[1])
-    except Exception:
-        for _ in blocks:
-            pass
-        raise
-    n, sums = len(block), _fold(block, spec)
-    for block in blocks:
-        n, sums = n + len(block), _fold(block, spec, sums)
-    return _stats(spec, n, sums)
+    as it is read (:func:`model._fold`), so no n x k matrix is held. ``spec_for`` is asked only
+    after the last block: a data fault anywhere in the file comes before a model fault."""
+    n, sums = 0, None
+    for block in _blocks(stream, assume_lifetimes):
+        n, sums = n + len(block), _fold(block, sums)
+    return _stats(spec_for(sums.shape[1]), n, sums)
 
 
 _PARAMS_KEYS = {"theta", "lambda", "model", "k", "s"}

@@ -29,6 +29,7 @@ every float the package prints, in CSV, JSON or text, so that it reads back the 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -133,11 +134,13 @@ class Params:
     def __post_init__(self):
         try:
             values = (self.theta, *self.lambdas)  # a TypeError if lambdas is not iterable
-            if any(isinstance(v, (str, bool, np.bool_)) for v in values):  # float() would take these
+            if any(isinstance(v, (str, bytes, bytearray, memoryview, bool, np.bool_))
+                   for v in (self.lambdas, *values)):  # float() takes these; bytes iterate as ints
                 raise TypeError
             theta, *lambdas = map(float, values)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidParams(f"parameters must be numbers, got {self.theta!r}, {self.lambdas!r}") from None
+            got = f"{reprlib.repr(self.theta)}, {reprlib.repr(self.lambdas)}"
+            raise InvalidParams(f"parameters must be numbers, got {got}") from None
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "lambdas", tuple(lambdas))
         if not (math.isfinite(self.theta) and self.theta > 0):
@@ -303,37 +306,26 @@ class SufficientStats:
         return grad
 
 
-def _stage_totals(spec: ModelSpec, sums: np.ndarray) -> np.ndarray:
-    """Stage totals S_1..S_k along the last axis from :func:`_fold`'s first k rows of sums,
-    weighted by :func:`_weights`. Overflow is left for the caller to find."""
-    with np.errstate(over="ignore"):
-        return _weights(spec) * sums[: spec.k].T
-
-
 _FOLD_VALUES = 2**16  # values a fold adds at a time, so that its buffer stays 512 kB for any k
 
 
-def _fold(d: np.ndarray, spec: ModelSpec, sums: np.ndarray | None = None) -> np.ndarray:
-    """``sums`` (zeros if None) plus the sums over the systems, ``d``'s first axis, of what
-    ``spec`` reads of the spacings ``d``: axis 1 holds the k stages, and further axes are kept.
-    The rows of ``sums`` are the sums of t for the stages before ``spec.s or k``, then of t*t
-    and, if ``sums`` has room, of log t for the stages from there on. numpy adds a C-order
-    buffer's rows in order along axis 0 when a row holds k >= 2 values, so seeding it with the
-    carried sums gives the same bits however the rows are split into steps of
-    ``max(1, _FOLD_VALUES // sums.size)``. Callers: sufficient_stats,
-    io.read_stats per chunk, simulate.mc_study per block (k rows: the closed form reads no log)."""
-    m, k = spec.s or spec.k, spec.k
-    if d.shape[1] != k:
-        raise DimensionMismatch(f"data has {d.shape[1]} columns but the model expects k={k}")
-    sums = np.zeros((2 * k - m, *d.shape[2:])) if sums is None else sums
+def _fold(d: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """``sums`` (zeros if None) plus the sums over the systems, ``d``'s first axis, of the
+    spacings ``d`` (axis 1 holds the k stages, and further axes are kept): of t, t*t and log t,
+    the first ``len(sums)`` of those three, stacked on a new axis 0. numpy adds a C-order
+    buffer's rows in order along axis 0 when a row holds two or more values, so seeding it
+    with the carried sums gives the same bits however the rows are split into steps of
+    ``max(1, _FOLD_VALUES // sums.size)``. Callers: sufficient_stats, io.read_stats per chunk,
+    simulate._block_estimates per block (one row: the closed form reads no log)."""
+    sums = np.zeros((3, *d.shape[1:])) if sums is None else sums
     step = max(1, _FOLD_VALUES // sums.size)
     buffer = np.empty((min(step, len(d)) + 1, *sums.shape))  # made once, for every step
     with np.errstate(over="ignore", under="ignore"):
         for lo in range(0, len(d), step):
             rows = buffer[: len(block := d[lo : lo + step]) + 1]  # still C-order: same bits
-            rows[0], rows[1:, :m] = sums, block[:, :m]
-            np.square(block[:, m:], out=rows[1:, m:k])
-            np.log(block[:, m : m + len(sums) - k], out=rows[1:, k:])
+            rows[0] = sums
+            for ufunc, out in zip((np.positive, np.square, np.log), rows[1:].swapaxes(0, 1)):
+                ufunc(block, out=out)
             np.add.reduce(rows, axis=0, out=sums)
     return sums
 
@@ -346,13 +338,18 @@ def _closed_form(n: int, totals) -> np.ndarray:
 
 
 def _stats(spec: ModelSpec, n: int, sums: np.ndarray) -> SufficientStats:
-    """The stats under ``spec`` of ``n`` rows of spacings whose sums :func:`_fold` gave."""
-    totals = _stage_totals(spec, sums)
+    """The stats under ``spec`` of ``n`` rows of spacings whose sums :func:`_fold` gave: S_j
+    weights the sum of t before ``spec.s or k`` and of t*t from there on by :func:`_weights`."""
+    m, k = spec.s or spec.k, spec.k
+    if sums.shape[1] != k:
+        raise DimensionMismatch(f"data has {sums.shape[1]} columns but the model expects k={k}")
+    with np.errstate(over="ignore"):  # an overflow is found below
+        totals = _weights(spec) * np.concatenate((sums[0, :m], sums[1, m:]))
     bad = _first_bad(totals)
     if bad is not None:
         raise DataFileError(f"column {bad[0] + 1}: the stage total {totals[bad]:g} is outside "
                             "the float64 range; rescale the data")
-    log_term = float(sums[spec.k :].sum())  # 0.0 for kim-kvam, whose slice is empty
+    log_term = float(sums[2, m:].sum())  # 0.0 for kim-kvam, whose slice is empty
     return SufficientStats(spec, n, tuple(totals.tolist()), log_term)
 
 
@@ -370,7 +367,7 @@ def sufficient_stats(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> Su
         if t.spec != spec:
             raise DimensionMismatch(f"the stats were taken under {t.spec}, not {spec}")
         return t
-    return _stats(spec, t.n, _fold(t.data, spec))
+    return _stats(spec, t.n, _fold(t.data))
 
 
 def spacings_from_lifetimes(lifetimes) -> SpacingsMatrix:

@@ -24,13 +24,13 @@ after its own block.
 All randomness flows through :class:`RngState` (PCG64), which yields the
 same stream for the same seed on every platform. :func:`mc_study` draws every
 replication from one stream derived once from the master seed, in blocks of
-about ``_BLOCK_UNIFORMS`` uniforms. :func:`model._fold`, the fold of
-:func:`model.sufficient_stats` and :func:`io.read_stats`, sums each block's
-(n, k, reps) view over its n systems, so a stage is a run of replications;
-each block's closed-form estimates are folded into the summary's sums as they
-are made, so memory is O(block) whatever the number of replications.
-Replication r takes the stream's r-th run of n*k draws; the results depend on
-the seed alone.
+about ``_BLOCK_UNIFORMS`` uniforms. Each block is squared in place past the
+switch, and :func:`model._fold`, the fold of :func:`model.sufficient_stats`,
+sums only t over the n systems of its (n, k, reps) view, so a stage is a run
+of replications; each block's closed-form estimates are folded into the
+summary's sums as they are made, so memory is O(block) whatever the number of
+replications. Replication r takes the stream's r-th run of n*k draws; the
+results depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .model import (
     _first_bad,
     _fold,
     _multipliers,
-    _stage_totals,
     _weights,
 )
 
@@ -189,8 +188,10 @@ class McSummary:
 
 
 def _block_estimates(spec: ModelSpec, truth: Params, d: np.ndarray) -> np.ndarray:
-    """(reps, k) closed-form estimates of the (reps, n, k) replications ``d`` drawn at ``truth``."""
-    totals = _stage_totals(spec, _fold(d.transpose(1, 2, 0), spec, np.zeros((spec.k, len(d)))))
+    """(reps, k) closed-form estimates of the (reps, n, k) replications ``d`` drawn at ``truth``,
+    which it squares in place past the switch to fold sums of t (under mc_study's errstate)."""
+    np.square(d[..., spec.s or spec.k :], out=d[..., spec.s or spec.k :])
+    totals = _weights(spec) * _fold(d.transpose(1, 2, 0), np.zeros((1, spec.k, len(d))))[0].T
     bad = _first_bad(totals)
     if bad is not None:
         raise _out_of_range(truth, f"stage {bad[-1] + 1} an exposure total")

@@ -602,6 +602,19 @@ class TestReadStats:
             read_stats(io.StringIO(self.DATA), lambda k: spec)
         assert str(err.value) == f"data has 3 columns but the model expects k={spec.k}"
 
+    def test_the_model_is_asked_for_once_after_the_last_chunk(self, monkeypatch):
+        monkeypatch.setattr(loadshare.io, "_CHUNK_CHARS", 4)
+        # A spy records where the stream stands when it is asked: at its end, and only once.
+        text = self.DATA + "1,2,3\n" * 5
+        stream, asked = io.StringIO(text), []
+
+        def spec_for(k):
+            asked.append((k, stream.tell(), stream.read()))
+            return ModelSpec.kim_kvam(k)
+
+        assert read_stats(stream, spec_for).n == 7
+        assert asked == [(3, len(text), "")]
+
     @pytest.mark.parametrize("header,last,error,message", [
         ("t", "1,x,3", DataFileError, "row 6, column 2: 'x' is not a number"),
         ("x", "2,2,3", DuplicateLifetime,

@@ -108,13 +108,23 @@ class TestParams:
     @pytest.mark.parametrize(
         "theta, lambdas",
         [(1.0, ("x",)), (1.0, (None,)), (1.0, 2.0), (10**400, (1.0,)), ("1", (1.0,)),
-         (True, (1.0,)), (1.0, (np.True_,)), (1.0, "2")],
-        ids=["str", "none", "not-iterable", "overflow", "str-theta", "bool", "numpy-bool", "str-lambdas"],
+         (True, (1.0,)), (1.0, (np.True_,)), (1.0, "2"), (b"1.5", (1.0,)), (1.0, (b"2",)),
+         (1.0, b"ab"), (1.0, bytearray(b"a")), (1.0, memoryview(b"a"))],
+        ids=["str", "none", "not-iterable", "overflow", "str-theta", "bool", "numpy-bool", "str-lambdas",
+             "bytes-theta", "bytes-lambda", "bytes-lambdas", "bytearray-lambdas", "memoryview-lambdas"],
     )
     def test_a_value_that_is_no_number_is_invalid_params(self, theta, lambdas):
-        # float() raises ValueError, TypeError or OverflowError here, or takes a str or a bool.
+        # float() raises ValueError, TypeError or OverflowError here, or takes a str, bytes or
+        # a bool; iterating bytes, a bytearray or a memoryview gives ints.
         with pytest.raises(InvalidParams, match="parameters must be numbers"):
             Params(theta, lambdas)
+
+    def test_a_huge_value_is_named_briefly(self):
+        # The 401 digits of 10**400 made a 441-character message.
+        with pytest.raises(InvalidParams) as err:
+            Params(10**400, (1.0,))
+        message = str(err.value)
+        assert len(message) < 120 and message.startswith("parameters must be numbers, got 1000000000")
 
     @pytest.mark.parametrize("values", [["x"], [1.0, "2"], [True, 1.0]], ids=["str", "numeric-str", "bool"])
     def test_from_array_judges_each_value_as_params_does(self, values):
@@ -243,9 +253,9 @@ class TestSufficientStats:
     def test_blocked_sums_have_the_whole_matrix_bits(self, monkeypatch, fold_rows, spec):
         # Blocks of any size give the bits of the whole-matrix column sums, also where only
         # the last column is past the switch (numpy sums one column alone pairwise). A buffer
-        # row holds 2k - (s or k) sums, so these values make steps of fold_rows rows.
+        # row holds 3k sums (of t, t*t and log t), so these values make steps of fold_rows rows.
         k, s = spec.k, spec.s
-        monkeypatch.setattr(loadshare.model, "_FOLD_VALUES", fold_rows * (2 * k - (s or k)))
+        monkeypatch.setattr(loadshare.model, "_FOLD_VALUES", fold_rows * 3 * k)
         d = np.random.default_rng(k).exponential(size=(3000, k)) * 10.0 ** np.arange(k)
         stats = sufficient_stats(spec, SpacingsMatrix(d))
         w = np.arange(k, 0, -1.0)
@@ -255,6 +265,17 @@ class TestSufficientStats:
         log_term = 0.0 if s is None else float(np.log(d).sum(axis=0)[s:].sum())
         assert [v.hex() for v in stats.totals] == [v.hex() for v in totals.tolist()]
         assert stats.log_term.hex() == log_term.hex() and stats.n == 3000
+
+    def test_one_fold_serves_every_model(self):
+        # The fold reads no model: one fold's sums give, through _stats, the bits of
+        # sufficient_stats under kim-kvam and under ssk at every switch.
+        d = np.random.default_rng(5).exponential(size=(500, 5)) * 10.0 ** np.arange(5)
+        sums = loadshare.model._fold(d)
+        for spec in [ModelSpec.kim_kvam(5), *(ModelSpec.ssk(5, s) for s in (2, 3, 4))]:
+            got = loadshare.model._stats(spec, len(d), sums)
+            want = sufficient_stats(spec, SpacingsMatrix(d))
+            assert got == want and got.log_term.hex() == want.log_term.hex()
+            assert [v.hex() for v in got.totals] == [v.hex() for v in want.totals]
 
     @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(200), ModelSpec.ssk(60, 30)],
                              ids=["kk-k200", "ssk-k60-s30"])
