@@ -125,14 +125,14 @@ def _fit_report(fit, fmt: str) -> str:
         "theta_hat": fit.params_hat.theta,
         "lambda_hat": list(fit.params_hat.lambdas),
         "loglik": fit.loglik_at_mle,
-        "n": fit.n,
-        "k": fit.model.k,
-        "model": fit.model.kind.value,
-        **_switch(fit.model),
+        "n": fit.stats.n,
+        "k": fit.stats.spec.k,
+        "model": fit.stats.spec.kind.value,
+        **_switch(fit.stats.spec),
     }
     if fmt == "json":
         return json_dumps(fields)
-    lines = [f"{name}: {fields[name]}" for name in ("model", *_switch(fit.model), "k", "n")]
+    lines = [f"{name}: {fields[name]}" for name in ("model", *_switch(fit.stats.spec), "k", "n")]
     lines.append(f"theta_hat: {format_float(fields['theta_hat'])}")
     lines += [f"lambda_hat_{j}: {format_float(v)}" for j, v in enumerate(fields["lambda_hat"], 1)]
     lines.append(f"loglik: {format_float(fields['loglik'])}")

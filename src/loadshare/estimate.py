@@ -28,9 +28,9 @@ __all__ = ["FitResult", "closed_form_mle"]
 class FitResult:
     """Parameter estimates plus the log-likelihood they attain.
 
-    ``stats`` is the :class:`SufficientStats` of the data under ``model``
-    that the fit was computed from, so a fit is auditable without
-    re-touching the raw data. ``loglik_at_mle`` comes from
+    ``stats`` is the :class:`SufficientStats` that the fit was computed from:
+    its model is ``stats.spec`` and its sample size ``stats.n``, and a fit is
+    auditable without re-touching the raw data. ``loglik_at_mle`` comes from
     :meth:`SufficientStats.log_likelihood` for the closed form, and from its
     own log-exposure formula for the iterative cross-check, which records its
     Newton iterations as ``sweeps``, its ``loglik_evals`` and its final Newton
@@ -40,8 +40,6 @@ class FitResult:
     params_hat: Params
     loglik_at_mle: float
     stats: SufficientStats
-    model: ModelSpec
-    n: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -60,6 +58,4 @@ def closed_form_mle(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> Fit
         params_hat=params_hat,
         loglik_at_mle=stats.log_likelihood(params_hat),
         stats=stats,
-        model=spec,
-        n=stats.n,
     )

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import reprlib
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     DuplicateLifetime,
     InvalidModel,
     InvalidParams,
+    InvalidSampleSize,
     NonPositiveLifetime,
 )
 
@@ -110,6 +111,11 @@ class ModelSpec:
                     f"s must satisfy 2 <= s <= k-1, got s={self.s} with k={self.k}"
                 )
 
+    @property
+    def switch(self) -> int:
+        """The stage columns past the switch start here: s for ssk, and k (none) for kim-kvam."""
+        return self.s or self.k
+
     @classmethod
     def kim_kvam(cls, k: int) -> "ModelSpec":
         return cls(ModelKind.KIM_KVAM, k)
@@ -134,8 +140,9 @@ class Params:
     def __post_init__(self):
         try:
             values = (self.theta, *self.lambdas)  # a TypeError if lambdas is not iterable
-            if any(isinstance(v, (str, bytes, bytearray, memoryview, bool, np.bool_))
-                   for v in (self.lambdas, *values)):  # float() takes these; bytes iterate as ints
+            # float() takes these; bytes iterate as ints, a set in hash order, a dict as its keys
+            if any(isinstance(v, (str, bytes, bytearray, memoryview, bool, np.bool_, Set, Mapping))
+                   for v in (self.lambdas, *values)):
                 raise TypeError
             theta, *lambdas = map(float, values)
         except (TypeError, ValueError, OverflowError):
@@ -245,7 +252,7 @@ def _weights(spec: ModelSpec) -> np.ndarray:
     """Components at risk during each stage, k-j+1 for j = 1..k, halved past the ssk switch:
     S_j's weight on stage j's sum of t (of t*t past the switch), and a factor of its rate."""
     w = np.arange(spec.k, 0, -1, dtype=float)
-    w[spec.s or spec.k :] *= 0.5
+    w[spec.switch :] *= 0.5
     return w
 
 
@@ -271,17 +278,22 @@ def _exposure(theta: float, totals, lam_full: np.ndarray) -> float:
 class SufficientStats:
     """Everything the likelihood of one dataset under one model depends on.
 
-    ``totals`` are the per-stage exposure totals S_1..S_k, so that the
-    likelihood exponent is ``-theta * S . (1, lambda_1, ...)``; ``log_term``
-    is the sum of log-spacings past the switch (ssk only, else 0). A plain
-    value with no cache, so calls from several threads may overlap. Build it
-    with :func:`sufficient_stats`, or from a file with :func:`loadshare.io.read_stats`.
+    ``totals`` are the per-stage exposure totals S_1..S_k (k of them, checked), so that the
+    likelihood exponent is ``-theta * S . (1, lambda_1, ...)``; ``log_term`` is the sum of
+    log-spacings past the switch (ssk only, else 0), and ``n`` is a positive int. A plain value
+    with no cache, so calls from several threads may overlap. Build it with
+    :func:`sufficient_stats`, or from a file with :func:`loadshare.io.read_stats`.
     """
 
     spec: ModelSpec
     n: int
     totals: tuple[float, ...]
     log_term: float
+
+    def __post_init__(self):
+        if len(self.totals) != self.spec.k:
+            raise DimensionMismatch(f"got {len(self.totals)} stage totals for k={self.spec.k}")
+        _check_int(InvalidSampleSize, "sample size n must be a positive integer", self.n, 1)
 
     def log_likelihood(self, params: Params) -> float:
         """Exact log-likelihood; see :func:`log_likelihood`."""
@@ -310,13 +322,13 @@ _FOLD_VALUES = 2**16  # values a fold adds at a time, so that its buffer stays 5
 
 
 def _fold(d: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
-    """``sums`` (zeros if None) plus the sums over the systems, ``d``'s first axis, of the
-    spacings ``d`` (axis 1 holds the k stages, and further axes are kept): of t, t*t and log t,
-    the first ``len(sums)`` of those three, stacked on a new axis 0. numpy adds a C-order
-    buffer's rows in order along axis 0 when a row holds two or more values, so seeding it
-    with the carried sums gives the same bits however the rows are split into steps of
-    ``max(1, _FOLD_VALUES // sums.size)``. Callers: sufficient_stats, io.read_stats per chunk,
-    simulate._block_estimates per block (one row: the closed form reads no log)."""
+    """``sums`` (zeros if None) plus the sums over ``d``'s first axis of its values t (the other
+    axes are kept): of t, t*t and log t, the first ``len(sums)`` of those three, stacked on a new
+    axis 0. numpy adds a C-order buffer's rows in order along axis 0 when a row holds two or
+    more values, so seeding it with the carried sums gives the same bits however the rows are
+    split into steps of ``max(1, _FOLD_VALUES // sums.size)``. Callers: sufficient_stats and
+    io.read_stats per chunk (spacings, systems by stages), and per block simulate._block_estimates
+    (sums of t only) and mc_study (its estimates and squared errors, replication by replication)."""
     sums = np.zeros((3, *d.shape[1:])) if sums is None else sums
     step = max(1, _FOLD_VALUES // sums.size)
     buffer = np.empty((min(step, len(d)) + 1, *sums.shape))  # made once, for every step
@@ -339,8 +351,8 @@ def _closed_form(n: int, totals) -> np.ndarray:
 
 def _stats(spec: ModelSpec, n: int, sums: np.ndarray) -> SufficientStats:
     """The stats under ``spec`` of ``n`` rows of spacings whose sums :func:`_fold` gave: S_j
-    weights the sum of t before ``spec.s or k`` and of t*t from there on by :func:`_weights`."""
-    m, k = spec.s or spec.k, spec.k
+    weights the sum of t before ``spec.switch`` and of t*t from there on by :func:`_weights`."""
+    m, k = spec.switch, spec.k
     if sums.shape[1] != k:
         raise DimensionMismatch(f"data has {sums.shape[1]} columns but the model expects k={k}")
     with np.errstate(over="ignore"):  # an overflow is found below

@@ -140,8 +140,6 @@ def numeric_mle(spec: ModelSpec, t: SpacingsMatrix | SufficientStats) -> FitResu
         params_hat=Params(values[0], tuple(values[1:])),
         loglik_at_mle=f_u,
         stats=stats,
-        model=spec,
-        n=stats.n,
         # "sweeps" and "loglik_evals" keep the names the benchmark tracer reads.
         diagnostics={"sweeps": iteration, "loglik_evals": evals, "decrement": decrement},
     )

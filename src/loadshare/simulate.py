@@ -27,10 +27,10 @@ replication from one stream derived once from the master seed, in blocks of
 about ``_BLOCK_UNIFORMS`` uniforms. Each block is squared in place past the
 switch, and :func:`model._fold`, the fold of :func:`model.sufficient_stats`,
 sums only t over the n systems of its (n, k, reps) view, so a stage is a run
-of replications; each block's closed-form estimates are folded into the
-summary's sums as they are made, so memory is O(block) whatever the number of
-replications. Replication r takes the stream's r-th run of n*k draws; the
-results depend on the seed alone.
+of replications. The same fold then adds the block's closed-form estimates and
+their squared errors, replication by replication, to the summary's running
+sums, so memory is O(block) whatever the number of replications. Replication r
+takes the stream's r-th run of n*k draws; the results depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _stage_rates(spec: ModelSpec, params: Params) -> np.ndarray:
 def _draw_spacings(spec: ModelSpec, rates: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The uniforms ``t`` (..., k) become spacings in place: -log U over the stage's rate from
     :func:`_stage_rates`, and past the ssk switch, where that rate is halved, its square root."""
-    rayleigh = t[..., spec.s or spec.k :]  # the stages past the switch; none in kim-kvam
+    rayleigh = t[..., spec.switch :]  # the stages past the switch; none in kim-kvam
     with np.errstate(all="ignore"):
         np.log(t, out=t)
         np.negative(t, out=t)  # the unit-exponential exposures
@@ -190,7 +190,7 @@ class McSummary:
 def _block_estimates(spec: ModelSpec, truth: Params, d: np.ndarray) -> np.ndarray:
     """(reps, k) closed-form estimates of the (reps, n, k) replications ``d`` drawn at ``truth``,
     which it squares in place past the switch to fold sums of t (under mc_study's errstate)."""
-    np.square(d[..., spec.s or spec.k :], out=d[..., spec.s or spec.k :])
+    np.square(d[..., spec.switch :], out=d[..., spec.switch :])
     totals = _weights(spec) * _fold(d.transpose(1, 2, 0), np.zeros((1, spec.k, len(d))))[0].T
     bad = _first_bad(totals)
     if bad is not None:
@@ -224,18 +224,17 @@ def mc_study(spec: ModelSpec, truth: Params, n: int, reps: int, rng: RngState,
     _check_int(InvalidSampleSize, "reps must be a positive integer", reps, 1)
     truth_vec, per_block = truth.as_array(), max(1, _BLOCK_UNIFORMS // (n * spec.k))
     blocks = _sample_blocks(spec, truth, n * reps, rng.child(0), per_block * n)
-    sums, m2 = np.zeros((2, spec.k)), np.zeros((2, spec.k))  # of the estimates, squared errors
+    sums, m2 = np.zeros((1, 2, spec.k)), np.zeros((2, spec.k))  # of the estimates, squared errors
     with np.errstate(all="ignore"):
         for lo, d in zip(range(0, reps, per_block), blocks):
-            rows = np.empty((2, spec.k, len(d) // n + 1))  # column 0 holds the sums
-            x, b, rows[..., 0] = rows[..., 1:], rows.shape[-1] - 1, sums
+            x = np.empty((2, spec.k, b := len(d) // n))
             x[0] = _block_estimates(spec, truth, d.reshape(b, n, spec.k)).T
             np.square(np.subtract(x[0], truth_vec[:, None], out=x[1]), out=x[1])
             block_mean = x.mean(axis=-1)
             m2 += np.square(x - block_mean[..., None]).sum(axis=-1)
-            m2 += np.square(block_mean - sums / max(lo, 1)) * (lo * b / (lo + b))
-            sums = np.add.accumulate(rows, axis=-1)[..., -1]  # in order, like numpy column sums
-        (mean, mse), (se_mean, se_mse) = sums / reps, np.sqrt(m2 / (reps - 1) / reps)
+            m2 += np.square(block_mean - sums[0] / max(lo, 1)) * (lo * b / (lo + b))
+            _fold(x.transpose(2, 0, 1), sums)  # in order, replication by replication
+        (mean, mse), (se_mean, se_mse) = sums[0] / reps, np.sqrt(m2 / (reps - 1) / reps)
         bias = mean - truth_vec
         checked = (mean, mse, bias**2) + ((se_mean, se_mse) if reps > 1 else ())
     if not all(np.isfinite(c).all() for c in checked):

@@ -57,7 +57,7 @@ class TestClosedFormMle:
         fit = closed_form_mle(ModelSpec.kim_kvam(3), SpacingsMatrix([[1, 2, 3], [3, 2, 1]]))
         assert fit.params_hat.theta == pytest.approx(2 / 12, rel=1e-15)
         assert fit.params_hat.lambdas == pytest.approx((1.5, 3.0), rel=1e-15)
-        assert fit.n == 2 and fit.model.k == 3
+        assert fit.stats.n == 2 and fit.stats.spec.k == 3
 
     def test_ssk_unit_spacings(self):
         fit = closed_form_mle(ModelSpec.ssk(3, 2), SpacingsMatrix([[1.0, 1.0, 1.0]]))

@@ -16,6 +16,7 @@ from loadshare import (
     DuplicateLifetime,
     InvalidModel,
     InvalidParams,
+    InvalidSampleSize,
     LoadShareError,
     ModelKind,
     ModelSpec,
@@ -23,6 +24,7 @@ from loadshare import (
     Params,
     RngState,
     SpacingsMatrix,
+    SufficientStats,
     closed_form_mle,
     log_likelihood,
     sample_dataset,
@@ -51,6 +53,11 @@ class TestModelSpec:
     def test_ssk_round_trip(self):
         spec = ModelSpec.ssk(5, 3)
         assert spec.kind is ModelKind.SSK and spec.s == 3
+
+    def test_switch_is_s_for_ssk_and_k_for_kim_kvam(self):
+        # The first stage column past the switch; kim-kvam has none, so [switch:] is empty.
+        assert ModelSpec.ssk(5, 3).switch == 3 and ModelSpec.kim_kvam(4).switch == 4
+        assert repr(ModelSpec.ssk(5, 3)) == "ModelSpec(kind=<ModelKind.SSK: 'ssk'>, k=5, s=3)"
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_k_must_be_at_least_two(self, k):
@@ -109,13 +116,16 @@ class TestParams:
         "theta, lambdas",
         [(1.0, ("x",)), (1.0, (None,)), (1.0, 2.0), (10**400, (1.0,)), ("1", (1.0,)),
          (True, (1.0,)), (1.0, (np.True_,)), (1.0, "2"), (b"1.5", (1.0,)), (1.0, (b"2",)),
-         (1.0, b"ab"), (1.0, bytearray(b"a")), (1.0, memoryview(b"a"))],
+         (1.0, b"ab"), (1.0, bytearray(b"a")), (1.0, memoryview(b"a")), (1.0, {2.0, 1.0}),
+         (1.0, frozenset({3.0, 1.0})), (1.0, {1.0: "a"}), (1.0, {1.0: 2.0})],
         ids=["str", "none", "not-iterable", "overflow", "str-theta", "bool", "numpy-bool", "str-lambdas",
-             "bytes-theta", "bytes-lambda", "bytes-lambdas", "bytearray-lambdas", "memoryview-lambdas"],
+             "bytes-theta", "bytes-lambda", "bytes-lambdas", "bytearray-lambdas", "memoryview-lambdas",
+             "set-lambdas", "frozenset-lambdas", "dict-lambdas", "dict-of-numbers-lambdas"],
     )
     def test_a_value_that_is_no_number_is_invalid_params(self, theta, lambdas):
         # float() raises ValueError, TypeError or OverflowError here, or takes a str, bytes or
-        # a bool; iterating bytes, a bytearray or a memoryview gives ints.
+        # a bool; iterating bytes, a bytearray or a memoryview gives ints, a set gives its
+        # values in hash order and a dict its keys.
         with pytest.raises(InvalidParams, match="parameters must be numbers"):
             Params(theta, lambdas)
 
@@ -291,6 +301,20 @@ class TestSufficientStats:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * 2**20, peak
+
+    @pytest.mark.parametrize("spec", [ModelSpec.kim_kvam(3), ModelSpec.ssk(3, 2)], ids=["kk", "ssk"])
+    @pytest.mark.parametrize("totals", [(2.0, 3.0), (1.0, 2.0, 3.0, 4.0)], ids=["short", "long"])
+    def test_hand_built_stats_need_k_totals(self, spec, totals):
+        # Unchecked, k - 1 totals made score raise numpy's ValueError, numeric_mle run all its
+        # iterations and closed_form_mle name the multipliers.
+        with pytest.raises(DimensionMismatch, match=f"got {len(totals)} stage totals for k=3"):
+            SufficientStats(spec, 4, totals, 0.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None], ids=["zero", "negative", "float", "bool", "none"])
+    def test_hand_built_stats_need_a_positive_integer_n(self, n):
+        # Unchecked, n = 0 gave closed_form_mle's "rescale the data".
+        with pytest.raises(InvalidSampleSize, match="sample size n must be a positive integer"):
+            SufficientStats(ModelSpec.kim_kvam(3), n, (1.0, 2.0, 3.0), 0.0)
 
     def test_stats_pass_only_under_their_own_spec(self):
         stats = sufficient_stats(ModelSpec.ssk(4, 2), SpacingsMatrix([[1.0, 2.0, 3.0, 4.0]]))

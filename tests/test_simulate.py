@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import loadshare.model
 from loadshare import (
     InvalidParams,
     InvalidSampleSize,
@@ -350,6 +351,30 @@ class TestMcStudy:
         ])
         squared = (estimates - truth.as_array()) ** 2
         s = mc_study(spec, truth, n, reps, RngState(33))
+        assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
+        assert np.array_equal(s.mse, squared.mean(axis=0))
+        _assert_standard_errors(s, estimates, squared, n, spec.k)
+
+    @pytest.mark.parametrize("spec,truth", [
+        (ModelSpec.kim_kvam(3), Params(1.0, (2.0, 0.5))),
+        (ModelSpec.ssk(4, 2), Params(0.7, (1.5, 0.8, 2.0))),
+    ], ids=["kim-kvam", "ssk"])
+    @pytest.mark.parametrize("per_step", [1, 7], ids=["one-a-step", "seven-a-step"])
+    def test_summary_fold_splits_in_order(self, monkeypatch, spec, truth, per_step):
+        # The summary's running sums fold a (1, 2, k) row per replication: its estimates and
+        # their squared errors. This _FOLD_VALUES makes that fold add per_step replications a
+        # step, so each block takes many steps (at 7 the last one short), and the summary still
+        # equals the one taken from fitting each replication alone.
+        monkeypatch.setattr(loadshare.model, "_FOLD_VALUES", per_step * 2 * spec.k)
+        n = 7
+        reps = 2 * (_BLOCK_UNIFORMS // (n * spec.k)) + 3
+        stream = RngState(44).child(0)
+        estimates = np.array([
+            closed_form_mle(spec, sample_dataset(spec, truth, n, stream)).params_hat.as_array()
+            for _ in range(reps)
+        ])
+        squared = (estimates - truth.as_array()) ** 2
+        s = mc_study(spec, truth, n, reps, RngState(44))
         assert np.array_equal(s.mean_estimates, estimates.mean(axis=0))
         assert np.array_equal(s.mse, squared.mean(axis=0))
         _assert_standard_errors(s, estimates, squared, n, spec.k)
